@@ -14,9 +14,9 @@ pub use heatvit::telemetry::json;
 use heatvit::{Backend, BackendKind};
 use heatvit_data::{SyntheticConfig, SyntheticDataset};
 use heatvit_quant::{QuantPruneStage, QuantizedViT};
-use heatvit_selector::{PrunedViT, StaticPrunedViT, StaticRule, StaticStage, TokenSelector};
+use heatvit_selector::{PrunedViT, TokenSelector};
 use heatvit_tensor::Tensor;
-use heatvit_tfprune::{ClsAttnPrunedViT, TfStage, TokenMergeViT, TopKPrunedViT, TopKStage};
+use heatvit_tfprune::{RankPrunedViT, TfStage, TopKStage};
 use heatvit_vit::{ViTConfig, VisionTransformer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,17 +51,8 @@ pub fn adaptive_pruned(backbone: VisionTransformer, seed: u64) -> PrunedViT {
 
 /// The static-pruned variant over a given backbone, with keep ratios
 /// matched to a typical adaptive schedule (0.7 then 0.6).
-pub fn static_pruned(backbone: VisionTransformer) -> StaticPrunedViT {
-    StaticPrunedViT::new(
-        backbone,
-        DEMO_SELECTOR_BLOCKS
-            .iter()
-            .zip(DEMO_STAGE_KEEPS.iter())
-            .map(|(&block, &keep_ratio)| StaticStage { block, keep_ratio })
-            .collect(),
-        StaticRule::CliffAttention,
-        0,
-    )
+pub fn static_pruned(backbone: VisionTransformer) -> RankPrunedViT {
+    RankPrunedViT::cliff_attention(backbone, tf_stages())
 }
 
 /// The ratio stages every training-free ratio variant shares: the demo
@@ -79,15 +70,15 @@ pub fn tf_stages() -> Vec<TfStage> {
 
 /// The training-free CLS-attention hard-drop variant over a given backbone,
 /// at the demo schedule's stages.
-pub fn cls_attn_pruned(backbone: VisionTransformer) -> ClsAttnPrunedViT {
-    ClsAttnPrunedViT::new(backbone, tf_stages())
+pub fn cls_attn_pruned(backbone: VisionTransformer) -> RankPrunedViT {
+    RankPrunedViT::cls_attn(backbone, tf_stages())
 }
 
 /// The training-free token-mergence variant over a given backbone — same
 /// stages (and therefore the same token schedule and MAC budget, up to the
 /// charged merge overhead) as [`cls_attn_pruned`].
-pub fn token_merge(backbone: VisionTransformer) -> TokenMergeViT {
-    TokenMergeViT::new(backbone, tf_stages())
+pub fn token_merge(backbone: VisionTransformer) -> RankPrunedViT {
+    RankPrunedViT::new(backbone, tf_stages())
 }
 
 /// Keep *counts* of the fixed-layer top-k demo schedule (12 then 7 of the
@@ -102,8 +93,8 @@ pub const DEMO_TOPK_BLOCKS: [usize; 2] = [2, 4];
 /// The training-free fixed-layer top-k variant over a given backbone:
 /// static keep counts [`DEMO_TOPK_KEEPS`] at blocks [`DEMO_TOPK_BLOCKS`],
 /// ranked by CLS attention plus value-norm share.
-pub fn topk_pruned(backbone: VisionTransformer) -> TopKPrunedViT {
-    TopKPrunedViT::new(
+pub fn topk_pruned(backbone: VisionTransformer) -> RankPrunedViT {
+    RankPrunedViT::top_k(
         backbone,
         DEMO_TOPK_BLOCKS
             .iter()
@@ -190,7 +181,7 @@ pub const DEMO_SELECTOR_BLOCKS: [usize; 2] = [1, 3];
 
 /// Per-stage keep ratios of the hand-placed two-stage demo schedule
 /// (each stage's fraction of *incoming* patch tokens, the convention
-/// [`StaticStage::keep_ratio`] and the trainer's keep targets share).
+/// [`TfStage::keep_ratio`] and the trainer's keep targets share).
 pub const DEMO_STAGE_KEEPS: [f32; 2] = [0.7, 0.6];
 
 /// The hand-placed two-stage schedule in the paper's *cumulative* notation:

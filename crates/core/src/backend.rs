@@ -3,7 +3,7 @@
 //! `Engine<M>` is generic so specialized deployments monomorphize away the
 //! dispatch, but a serving front-end (and any table-driven harness like
 //! `run_all`) wants *one* engine type whose concrete model is chosen at
-//! runtime. [`Backend`] is that handle: an enum over the workspace's seven
+//! runtime. [`Backend`] is that handle: an enum over the workspace's four
 //! model types, dispatching [`InferenceModel`] by `match` — no heap
 //! allocation, no vtable, and `Engine<Backend>` is a single nameable type.
 //! [`BackendKind`] is the matching value-level selector: a closed set of
@@ -12,12 +12,12 @@
 
 use crate::model::{InferenceModel, ModelOutput};
 use heatvit_quant::QuantizedViT;
-use heatvit_selector::{PruneScratch, PrunedViT, StaticPrunedViT};
+use heatvit_selector::{PruneScratch, PrunedViT};
 use heatvit_tensor::Tensor;
-use heatvit_tfprune::{ClsAttnPrunedViT, TokenMergeViT, TopKPrunedViT};
+use heatvit_tfprune::{RankPolicy, RankPrunedViT};
 use heatvit_vit::{ViTConfig, VisionTransformer};
 
-/// A type-erased inference backend: one of the seven workspace model types
+/// A type-erased inference backend: one of the four workspace model types
 /// behind a single concrete type.
 ///
 /// Every variant's [`InferenceModel`] implementation is forwarded
@@ -44,16 +44,9 @@ pub enum Backend {
     Dense(VisionTransformer),
     /// Adaptive HeatViT token pruning (float).
     AdaptivePruned(PrunedViT),
-    /// Input-agnostic static pruning baseline (float).
-    StaticPruned(StaticPrunedViT),
-    /// Training-free CLS-attention hard-drop pruning (float, no learned
-    /// selector).
-    ClsAttnPruned(ClsAttnPrunedViT),
-    /// Training-free token mergence: hard-drop schedule, pruned tokens
-    /// folded into their nearest kept token (float).
-    TokenMerge(TokenMergeViT),
-    /// Training-free fixed-layer top-k pruning (float, static keep counts).
-    TopKPruned(TopKPrunedViT),
+    /// Rank-and-keep pruning (float, no learned selector): CLS-attention
+    /// drop, mergence or top-k, or a static baseline, per its policy.
+    RankPruned(RankPrunedViT),
     /// The int8 integer pipeline, dense or adaptively pruned depending on
     /// its installed stages.
     Quantized(QuantizedViT),
@@ -66,10 +59,14 @@ impl Backend {
         match self {
             Backend::Dense(_) => BackendKind::Dense,
             Backend::AdaptivePruned(_) => BackendKind::AdaptivePruned,
-            Backend::StaticPruned(_) => BackendKind::StaticPruned,
-            Backend::ClsAttnPruned(_) => BackendKind::ClsAttn,
-            Backend::TokenMerge(_) => BackendKind::TokenMerge,
-            Backend::TopKPruned(_) => BackendKind::TopK,
+            Backend::RankPruned(m) => match m.policy() {
+                RankPolicy::ClsAttnDrop => BackendKind::ClsAttn,
+                RankPolicy::ClsAttnMerge => BackendKind::TokenMerge,
+                RankPolicy::ClsAttnValueTopK => BackendKind::TopK,
+                RankPolicy::StaticCliffAttention
+                | RankPolicy::StaticTokenNorm
+                | RankPolicy::StaticRandom(_) => BackendKind::StaticPruned,
+            },
             Backend::Quantized(q) => {
                 if q.prune_stages().is_empty() {
                     BackendKind::Int8Dense
@@ -93,27 +90,9 @@ impl From<PrunedViT> for Backend {
     }
 }
 
-impl From<StaticPrunedViT> for Backend {
-    fn from(model: StaticPrunedViT) -> Self {
-        Backend::StaticPruned(model)
-    }
-}
-
-impl From<ClsAttnPrunedViT> for Backend {
-    fn from(model: ClsAttnPrunedViT) -> Self {
-        Backend::ClsAttnPruned(model)
-    }
-}
-
-impl From<TokenMergeViT> for Backend {
-    fn from(model: TokenMergeViT) -> Self {
-        Backend::TokenMerge(model)
-    }
-}
-
-impl From<TopKPrunedViT> for Backend {
-    fn from(model: TopKPrunedViT) -> Self {
-        Backend::TopKPruned(model)
+impl From<RankPrunedViT> for Backend {
+    fn from(model: RankPrunedViT) -> Self {
+        Backend::RankPruned(model)
     }
 }
 
@@ -128,10 +107,7 @@ impl InferenceModel for Backend {
         match self {
             Backend::Dense(m) => m.variant(),
             Backend::AdaptivePruned(m) => m.variant(),
-            Backend::StaticPruned(m) => m.variant(),
-            Backend::ClsAttnPruned(m) => m.variant(),
-            Backend::TokenMerge(m) => m.variant(),
-            Backend::TopKPruned(m) => m.variant(),
+            Backend::RankPruned(m) => m.variant(),
             Backend::Quantized(m) => m.variant(),
         }
     }
@@ -140,10 +116,7 @@ impl InferenceModel for Backend {
         match self {
             Backend::Dense(m) => InferenceModel::config(m),
             Backend::AdaptivePruned(m) => InferenceModel::config(m),
-            Backend::StaticPruned(m) => InferenceModel::config(m),
-            Backend::ClsAttnPruned(m) => InferenceModel::config(m),
-            Backend::TokenMerge(m) => InferenceModel::config(m),
-            Backend::TopKPruned(m) => InferenceModel::config(m),
+            Backend::RankPruned(m) => InferenceModel::config(m),
             Backend::Quantized(m) => InferenceModel::config(m),
         }
     }
@@ -152,10 +125,7 @@ impl InferenceModel for Backend {
         match self {
             Backend::Dense(m) => m.infer_one(image, scratch),
             Backend::AdaptivePruned(m) => m.infer_one(image, scratch),
-            Backend::StaticPruned(m) => m.infer_one(image, scratch),
-            Backend::ClsAttnPruned(m) => m.infer_one(image, scratch),
-            Backend::TokenMerge(m) => m.infer_one(image, scratch),
-            Backend::TopKPruned(m) => m.infer_one(image, scratch),
+            Backend::RankPruned(m) => m.infer_one(image, scratch),
             Backend::Quantized(m) => m.infer_one(image, scratch),
         }
     }
@@ -164,10 +134,7 @@ impl InferenceModel for Backend {
         match self {
             Backend::Dense(m) => InferenceModel::dense_macs(m),
             Backend::AdaptivePruned(m) => InferenceModel::dense_macs(m),
-            Backend::StaticPruned(m) => InferenceModel::dense_macs(m),
-            Backend::ClsAttnPruned(m) => InferenceModel::dense_macs(m),
-            Backend::TokenMerge(m) => InferenceModel::dense_macs(m),
-            Backend::TopKPruned(m) => InferenceModel::dense_macs(m),
+            Backend::RankPruned(m) => InferenceModel::dense_macs(m),
             Backend::Quantized(m) => InferenceModel::dense_macs(m),
         }
     }
@@ -176,10 +143,7 @@ impl InferenceModel for Backend {
         match self {
             Backend::Dense(m) => m.cost_profile(),
             Backend::AdaptivePruned(m) => m.cost_profile(),
-            Backend::StaticPruned(m) => m.cost_profile(),
-            Backend::ClsAttnPruned(m) => m.cost_profile(),
-            Backend::TokenMerge(m) => m.cost_profile(),
-            Backend::TopKPruned(m) => m.cost_profile(),
+            Backend::RankPruned(m) => m.cost_profile(),
             Backend::Quantized(m) => m.cost_profile(),
         }
     }
@@ -189,20 +153,21 @@ impl InferenceModel for Backend {
 ///
 /// The quantized model contributes two kinds — dense and adaptively pruned
 /// — because they are distinct rows in every comparison the paper makes;
-/// they share the [`Backend::Quantized`] representation.
+/// they share the [`Backend::Quantized`] representation. Likewise the four
+/// rank-and-keep kinds share [`Backend::RankPruned`], told apart by policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// Dense float baseline ([`VisionTransformer`]).
     Dense,
     /// Adaptive HeatViT pruning ([`PrunedViT`]).
     AdaptivePruned,
-    /// Static pruning baseline ([`StaticPrunedViT`]).
+    /// Static pruning baseline ([`RankPrunedViT::cliff_attention`]).
     StaticPruned,
-    /// Training-free CLS-attention hard drop ([`ClsAttnPrunedViT`]).
+    /// Training-free CLS-attention hard drop ([`RankPrunedViT::cls_attn`]).
     ClsAttn,
-    /// Training-free token mergence ([`TokenMergeViT`]).
+    /// Training-free token mergence ([`RankPrunedViT::new`]).
     TokenMerge,
-    /// Training-free fixed-layer top-k ([`TopKPrunedViT`]).
+    /// Training-free fixed-layer top-k ([`RankPrunedViT::top_k`]).
     TopK,
     /// Int8 pipeline without pruning stages ([`QuantizedViT`]).
     Int8Dense,
@@ -225,18 +190,18 @@ impl BackendKind {
         BackendKind::Int8Adaptive,
     ];
 
-    /// The canonical variant label, delegated to the constant each model
-    /// crate registers (`VisionTransformer::VARIANT` etc.), so a
-    /// [`Backend`] built for this kind reports exactly this string from
-    /// [`InferenceModel::variant`].
+    /// The canonical variant label, delegated to the label each model
+    /// crate registers (`VisionTransformer::VARIANT`, [`RankPolicy::label`]
+    /// etc.), so a [`Backend`] built for this kind reports exactly this
+    /// string from [`InferenceModel::variant`].
     pub fn label(self) -> &'static str {
         match self {
             BackendKind::Dense => VisionTransformer::VARIANT,
             BackendKind::AdaptivePruned => PrunedViT::VARIANT,
-            BackendKind::StaticPruned => StaticPrunedViT::VARIANT,
-            BackendKind::ClsAttn => ClsAttnPrunedViT::VARIANT,
-            BackendKind::TokenMerge => TokenMergeViT::VARIANT,
-            BackendKind::TopK => TopKPrunedViT::VARIANT,
+            BackendKind::StaticPruned => RankPolicy::StaticCliffAttention.label(),
+            BackendKind::ClsAttn => RankPolicy::ClsAttnDrop.label(),
+            BackendKind::TokenMerge => RankPolicy::ClsAttnMerge.label(),
+            BackendKind::TopK => RankPolicy::ClsAttnValueTopK.label(),
             BackendKind::Int8Dense => QuantizedViT::VARIANT_DENSE,
             BackendKind::Int8Adaptive => QuantizedViT::VARIANT_ADAPTIVE,
         }

@@ -6,17 +6,16 @@
 //!
 //! The lower crates each own one concern — `heatvit-tensor` (dense `f32`
 //! math), `heatvit-nn` (autograd + layers), `heatvit-vit` (the backbone),
-//! `heatvit-selector` (adaptive and static token pruning),
-//! `heatvit-tfprune` (training-free pruning: CLS-attention hard drop, token
-//! mergence, fixed-layer top-k), `heatvit-quant` (int8 arithmetic),
-//! `heatvit-data` (synthetic datasets) — but they expose *different*
-//! single-image inference APIs. This crate folds them into one:
+//! `heatvit-selector` (adaptive token pruning with learned selectors),
+//! `heatvit-tfprune` (rank-and-keep pruning: CLS-attention hard drop, token
+//! mergence, fixed-layer top-k, static baselines), `heatvit-quant` (int8
+//! arithmetic), `heatvit-data` (synthetic datasets) — but they expose
+//! *different* single-image inference APIs. This crate folds them into one:
 //!
 //! * [`InferenceModel`] — implemented by `VisionTransformer`, `PrunedViT`,
-//!   `StaticPrunedViT`, the training-free `ClsAttnPrunedViT` /
-//!   `TokenMergeViT` / `TopKPrunedViT`, and the int8 `QuantizedViT` (dense
-//!   or adaptively pruned): classify one image, report per-block token
-//!   counts and a MAC estimate (packed-DSP-equivalent for the int8
+//!   the policy-configured `RankPrunedViT`, and the int8 `QuantizedViT`
+//!   (dense or adaptively pruned): classify one image, report per-block
+//!   token counts and a MAC estimate (packed-DSP-equivalent for the int8
 //!   backend);
 //! * [`Backend`] / [`BackendKind`] — the type-erased handle over those
 //!   model types, so servers and table-driven harnesses run one

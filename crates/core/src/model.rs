@@ -1,12 +1,11 @@
 //! The [`InferenceModel`] trait: one interface over the dense, adaptively
-//! pruned, statically pruned, training-free pruned, and int8-quantized ViT
-//! variants.
+//! pruned, rank-and-keep pruned, and int8-quantized ViT variants.
 
 use crate::latency::CostProfile;
 use heatvit_quant::QuantizedViT;
-use heatvit_selector::{PruneScratch, PrunedViT, StaticPrunedViT};
+use heatvit_selector::{PruneScratch, PrunedViT};
 use heatvit_tensor::Tensor;
-use heatvit_tfprune::{ClsAttnPrunedViT, TokenMergeViT, TopKPrunedViT};
+use heatvit_tfprune::RankPrunedViT;
 use heatvit_vit::{ViTConfig, VisionTransformer};
 
 /// Result of one image's inference through any model variant.
@@ -24,13 +23,16 @@ pub struct ModelOutput {
 /// A model that can classify one image and account for its own cost.
 ///
 /// Implemented by [`VisionTransformer`] (dense baseline), [`PrunedViT`]
-/// (adaptive HeatViT pruning), [`StaticPrunedViT`] (input-agnostic pruning
-/// baselines), the training-free family ([`ClsAttnPrunedViT`],
-/// [`TokenMergeViT`], [`TopKPrunedViT`] — no learned selector), and
+/// (adaptive HeatViT pruning), [`RankPrunedViT`] (the rank-and-keep
+/// family: CLS-attention drop, mergence and top-k, and the static
+/// baselines — one model, one policy each, no learned selector), and
 /// [`QuantizedViT`] (the int8 integer pipeline, dense or adaptively
 /// pruned), so the [`crate::Engine`] can benchmark all of them under a
 /// single harness — the comparison setup of paper Figs. 2 and 4 extended
 /// with the Section V quantized backend and the training-free baselines.
+/// The float models all run the backbone's one forward loop
+/// ([`VisionTransformer::infer_staged`]) on the worker's one
+/// [`InferScratch`](heatvit_vit::InferScratch) (`PruneScratch::vit`).
 ///
 /// `Send + Sync` are supertraits: [`infer_one`](InferenceModel::infer_one)
 /// takes `&self`, the sharded engine shares that reference across scoped
@@ -236,64 +238,23 @@ impl InferenceModel for QuantizedViT {
     }
 }
 
-impl InferenceModel for StaticPrunedViT {
+impl InferenceModel for RankPrunedViT {
     fn variant(&self) -> &str {
-        Self::VARIANT
+        self.variant()
     }
 
     fn config(&self) -> &ViTConfig {
         self.backbone().config()
     }
 
+    /// Runs the blocks on the engine's shared backbone scratch and the
+    /// stages on its `rank` compartment.
     fn infer_one(&self, image: &Tensor, scratch: &mut PruneScratch) -> ModelOutput {
-        let inference = self.infer_with(image, scratch);
-        let macs = self.macs(&inference);
+        let inference = self.infer_with(image, &mut scratch.vit, &mut scratch.rank);
         ModelOutput {
+            macs: self.macs_for_tokens(&inference.tokens_per_block),
             logits: inference.logits,
             tokens_per_block: inference.tokens_per_block,
-            macs,
-        }
-    }
-
-    fn dense_macs(&self) -> u64 {
-        self.backbone().macs()
-    }
-
-    /// Exact profile: static pruning is input-agnostic, so the planned
-    /// schedule is the schedule every image executes.
-    fn cost_profile(&self) -> CostProfile {
-        let tokens = self.planned_tokens_per_block();
-        let macs = self.macs_for_tokens(&tokens);
-        CostProfile {
-            variant: self.variant().to_string(),
-            config: InferenceModel::config(self).clone(),
-            exact: true,
-            quantized: false,
-            macs,
-            tokens_per_block: tokens,
-        }
-    }
-}
-
-impl InferenceModel for ClsAttnPrunedViT {
-    fn variant(&self) -> &str {
-        Self::VARIANT
-    }
-
-    fn config(&self) -> &ViTConfig {
-        self.backbone().config()
-    }
-
-    /// Runs through the `tf` compartment of [`PruneScratch`] (scoring
-    /// projections, repack buffers, and its own backbone scratch), leaving
-    /// the learned-selector compartments untouched.
-    fn infer_one(&self, image: &Tensor, scratch: &mut PruneScratch) -> ModelOutput {
-        let inference = self.infer_with(image, &mut scratch.tf);
-        let macs = self.macs(&inference);
-        ModelOutput {
-            logits: inference.logits,
-            tokens_per_block: inference.tokens_per_block,
-            macs,
         }
     }
 
@@ -302,88 +263,8 @@ impl InferenceModel for ClsAttnPrunedViT {
     }
 
     /// Exact profile: *which* tokens survive varies per image, *how many*
-    /// never does, and the scoring overhead is charged into `macs`.
-    fn cost_profile(&self) -> CostProfile {
-        let tokens = self.planned_tokens_per_block();
-        let macs = self.macs_for_tokens(&tokens);
-        CostProfile {
-            variant: self.variant().to_string(),
-            config: InferenceModel::config(self).clone(),
-            exact: true,
-            quantized: false,
-            macs,
-            tokens_per_block: tokens,
-        }
-    }
-}
-
-impl InferenceModel for TokenMergeViT {
-    fn variant(&self) -> &str {
-        Self::VARIANT
-    }
-
-    fn config(&self) -> &ViTConfig {
-        self.backbone().config()
-    }
-
-    /// Runs through the `tf` compartment of [`PruneScratch`], like the
-    /// hard-drop variant it shares its schedule with.
-    fn infer_one(&self, image: &Tensor, scratch: &mut PruneScratch) -> ModelOutput {
-        let inference = self.infer_with(image, &mut scratch.tf);
-        let macs = self.macs(&inference);
-        ModelOutput {
-            logits: inference.logits,
-            tokens_per_block: inference.tokens_per_block,
-            macs,
-        }
-    }
-
-    fn dense_macs(&self) -> u64 {
-        self.backbone().macs()
-    }
-
-    /// Exact profile at the hard drop's token schedule, plus the charged
-    /// merge (cosine-similarity) overhead.
-    fn cost_profile(&self) -> CostProfile {
-        let tokens = self.planned_tokens_per_block();
-        let macs = self.macs_for_tokens(&tokens);
-        CostProfile {
-            variant: self.variant().to_string(),
-            config: InferenceModel::config(self).clone(),
-            exact: true,
-            quantized: false,
-            macs,
-            tokens_per_block: tokens,
-        }
-    }
-}
-
-impl InferenceModel for TopKPrunedViT {
-    fn variant(&self) -> &str {
-        Self::VARIANT
-    }
-
-    fn config(&self) -> &ViTConfig {
-        self.backbone().config()
-    }
-
-    /// Runs through the `tf` compartment of [`PruneScratch`].
-    fn infer_one(&self, image: &Tensor, scratch: &mut PruneScratch) -> ModelOutput {
-        let inference = self.infer_with(image, &mut scratch.tf);
-        let macs = self.macs(&inference);
-        ModelOutput {
-            logits: inference.logits,
-            tokens_per_block: inference.tokens_per_block,
-            macs,
-        }
-    }
-
-    fn dense_macs(&self) -> u64 {
-        self.backbone().macs()
-    }
-
-    /// Exact profile: the keep counts are literal, so the planned schedule
-    /// is the executed schedule.
+    /// never does, and every policy's stage overhead is charged into
+    /// `macs`.
     fn cost_profile(&self) -> CostProfile {
         let tokens = self.planned_tokens_per_block();
         let macs = self.macs_for_tokens(&tokens);

@@ -5,8 +5,9 @@
 
 use heatvit::{Backend, BackendKind, Engine, InferenceModel, ThreadCount};
 use heatvit_quant::{QuantPruneStage, QuantizedViT};
-use heatvit_selector::{PrunedViT, StaticPrunedViT, StaticRule, StaticStage, TokenSelector};
+use heatvit_selector::{PrunedViT, TokenSelector};
 use heatvit_tensor::Tensor;
+use heatvit_tfprune::{RankPrunedViT, TfStage};
 use heatvit_vit::{ViTConfig, VisionTransformer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,15 +26,13 @@ fn pruned(seed: u64) -> PrunedViT {
     model
 }
 
-fn static_pruned(seed: u64) -> StaticPrunedViT {
-    StaticPrunedViT::new(
+fn static_pruned(seed: u64) -> RankPrunedViT {
+    RankPrunedViT::cliff_attention(
         backbone(seed),
-        vec![StaticStage {
+        vec![TfStage {
             block: 1,
             keep_ratio: 0.7,
         }],
-        StaticRule::CliffAttention,
-        0,
     )
 }
 

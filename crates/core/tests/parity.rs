@@ -6,9 +6,9 @@
 use heatvit::{Engine, InferenceModel};
 use heatvit_data::{Loader, SyntheticConfig, SyntheticDataset};
 use heatvit_quant::{QuantPruneStage, QuantizedViT};
-use heatvit_selector::{PrunedViT, StaticPrunedViT, StaticRule, StaticStage, TokenSelector};
+use heatvit_selector::{PrunedViT, TokenSelector};
 use heatvit_tensor::Tensor;
-use heatvit_tfprune::{ClsAttnPrunedViT, TfStage, TokenMergeViT, TopKPrunedViT, TopKStage};
+use heatvit_tfprune::{RankPrunedViT, TfStage, TopKStage};
 use heatvit_vit::{ViTConfig, VisionTransformer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,21 +27,19 @@ fn pruned(rng: &mut StdRng) -> PrunedViT {
     model
 }
 
-fn static_pruned(rng: &mut StdRng) -> StaticPrunedViT {
-    StaticPrunedViT::new(
+fn static_pruned(rng: &mut StdRng) -> RankPrunedViT {
+    RankPrunedViT::cliff_attention(
         backbone(rng),
         vec![
-            StaticStage {
+            TfStage {
                 block: 1,
                 keep_ratio: 0.7,
             },
-            StaticStage {
+            TfStage {
                 block: 3,
                 keep_ratio: 0.6,
             },
         ],
-        StaticRule::CliffAttention,
-        0,
     )
 }
 
@@ -58,16 +56,16 @@ fn tf_stages() -> Vec<TfStage> {
     ]
 }
 
-fn cls_attn(rng: &mut StdRng) -> ClsAttnPrunedViT {
-    ClsAttnPrunedViT::new(backbone(rng), tf_stages())
+fn cls_attn(rng: &mut StdRng) -> RankPrunedViT {
+    RankPrunedViT::cls_attn(backbone(rng), tf_stages())
 }
 
-fn token_merge(rng: &mut StdRng) -> TokenMergeViT {
-    TokenMergeViT::new(backbone(rng), tf_stages())
+fn token_merge(rng: &mut StdRng) -> RankPrunedViT {
+    RankPrunedViT::new(backbone(rng), tf_stages())
 }
 
-fn topk(rng: &mut StdRng) -> TopKPrunedViT {
-    TopKPrunedViT::new(
+fn topk(rng: &mut StdRng) -> RankPrunedViT {
+    RankPrunedViT::top_k(
         backbone(rng),
         vec![
             TopKStage { block: 2, keep: 10 },

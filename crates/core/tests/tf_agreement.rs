@@ -8,7 +8,7 @@
 use heatvit::{Engine, InferenceModel};
 use heatvit_data::{SyntheticConfig, SyntheticDataset};
 use heatvit_tensor::Tensor;
-use heatvit_tfprune::{ClsAttnPrunedViT, TfStage, TokenMergeViT, TopKPrunedViT, TopKStage};
+use heatvit_tfprune::{RankPrunedViT, TfStage, TopKStage};
 use heatvit_vit::{ViTConfig, VisionTransformer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,16 +69,16 @@ fn training_free_backends_agree_with_dense() {
     let reference = predictions(dense.clone(), &images);
 
     let cls = agreement(
-        &predictions(ClsAttnPrunedViT::new(dense.clone(), stages()), &images),
+        &predictions(RankPrunedViT::cls_attn(dense.clone(), stages()), &images),
         &reference,
     );
     let merge = agreement(
-        &predictions(TokenMergeViT::new(dense.clone(), stages()), &images),
+        &predictions(RankPrunedViT::new(dense.clone(), stages()), &images),
         &reference,
     );
     let topk = agreement(
         &predictions(
-            TopKPrunedViT::new(
+            RankPrunedViT::top_k(
                 dense,
                 vec![
                     TopKStage { block: 2, keep: 12 },

@@ -12,11 +12,16 @@
 //!   one package token (Eq. 10);
 //! * [`PrunedViT`] — a backbone with selectors interleaved, performing
 //!   *dense repacking* so every downstream GEMM stays dense (the hardware
-//!   token-selection flow of Fig. 9);
-//! * [`StaticPrunedViT`] — the static-pruning baselines of Section II-D;
+//!   token-selection flow of Fig. 9); its selector stages hook into the
+//!   backbone's one forward loop and end with the same slice/gather/concat
+//!   repack as the rank-and-keep policies of `heatvit-tfprune`, where the
+//!   static-pruning baselines of Section II-D live;
 //! * [`ConvTokenClassifier`] — the convolution-based strawman of Fig. 12;
 //! * [`PruningSchedule`] — placement/keep-ratio bookkeeping with
-//!   block-to-stage merging.
+//!   block-to-stage merging;
+//! * [`PruneScratch`] — the per-worker workspace a batched engine hands to
+//!   every model: one backbone `InferScratch` plus each family's stage
+//!   buffers.
 //!
 //! ## Example
 //!
@@ -46,7 +51,6 @@ mod pruned;
 mod schedule;
 mod scratch;
 mod selector;
-mod static_prune;
 mod variants;
 
 pub use classifier::{ClassifierOutput, MultiHeadTokenClassifier};
@@ -54,5 +58,4 @@ pub use pruned::{PrunedInference, PrunedTrainOutput, PrunedViT};
 pub use schedule::{PruningSchedule, SelectorPlacement};
 pub use scratch::PruneScratch;
 pub use selector::{InferDecision, TokenSelector, TrainDecision};
-pub use static_prune::{StaticInference, StaticPrunedViT, StaticRule, StaticStage};
 pub use variants::ConvTokenClassifier;

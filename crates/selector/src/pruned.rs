@@ -180,74 +180,58 @@ impl PrunedViT {
     /// token-selection pipeline writing into fixed on-chip buffers (paper
     /// Fig. 9).
     pub fn infer_with(&self, image: &Tensor, scratch: &mut PruneScratch) -> PrunedInference {
-        let mut tokens = self.backbone.patch_embed().infer(image);
         // Original patch index of each current row (None = class or package).
         scratch.origin.clear();
         scratch.origin.push(None);
-        scratch.origin.extend((0..tokens.dim(0) - 1).map(Some));
-        let mut tokens_per_block = Vec::with_capacity(self.backbone.config().depth);
+        scratch
+            .origin
+            .extend((0..self.backbone.config().num_patches()).map(Some));
         let mut fractions = Vec::new();
         let mut surviving = Vec::new();
-        for (block, selector) in self.backbone.blocks().iter().zip(self.selectors.iter()) {
-            if let Some(sel) = selector {
-                let n = tokens.dim(0);
-                tokens.slice_rows_into(1, n, &mut scratch.patches);
-                let decision: InferDecision = sel.infer(&scratch.patches);
-                scratch.kept.clear();
-                scratch.pruned.clear();
-                for (i, &keep) in decision.keep.iter().enumerate() {
-                    if keep {
-                        scratch.kept.push(i);
-                    } else {
-                        scratch.pruned.push(i);
+        let (logits, tokens_per_block) =
+            self.backbone
+                .infer_staged(image, &mut scratch.vit, |bi, _, tokens, _| {
+                    let Some(sel) = &self.selectors[bi] else {
+                        return;
+                    };
+                    let decision: InferDecision = sel.infer(scratch.repack.split(tokens));
+                    scratch.kept.clear();
+                    scratch.pruned.clear();
+                    for (i, &keep) in decision.keep.iter().enumerate() {
+                        if keep {
+                            scratch.kept.push(i);
+                        } else {
+                            scratch.pruned.push(i);
+                        }
                     }
-                }
-                fractions.push(decision.keep_fraction());
-                surviving.push(
+                    fractions.push(decision.keep_fraction());
+                    scratch.repack.gather(&scratch.kept);
+                    scratch.new_origin.clear();
+                    scratch.new_origin.push(None);
                     scratch
-                        .kept
-                        .iter()
-                        .filter_map(|&i| scratch.origin[i + 1])
-                        .collect::<Vec<usize>>(),
-                );
-                tokens.slice_rows_into(0, 1, &mut scratch.cls);
-                scratch
-                    .patches
-                    .gather_rows_into(&scratch.kept, &mut scratch.kept_rows);
-                scratch.new_origin.clear();
-                scratch.new_origin.push(None);
-                scratch
-                    .new_origin
-                    .extend(scratch.kept.iter().map(|&i| scratch.origin[i + 1]));
-                let mut parts: Vec<&Tensor> = vec![&scratch.cls, &scratch.kept_rows];
-                let package;
-                if self.package_enabled {
-                    scratch
-                        .patches
-                        .gather_rows_into(&scratch.pruned, &mut scratch.pruned_rows);
-                    scratch.pruned_scores.clear();
-                    scratch
-                        .pruned_scores
-                        .extend(scratch.pruned.iter().map(|&i| decision.keep_scores[i]));
-                    if let Some(p) = package_tokens(&scratch.pruned_rows, &scratch.pruned_scores) {
-                        package = p;
-                        parts.push(&package);
+                        .new_origin
+                        .extend(scratch.kept.iter().map(|&i| scratch.origin[i + 1]));
+                    surviving.push(scratch.new_origin.iter().flatten().copied().collect());
+                    let mut package = None;
+                    if self.package_enabled {
+                        scratch
+                            .repack
+                            .patches()
+                            .gather_rows_into(&scratch.pruned, &mut scratch.pruned_rows);
+                        scratch.pruned_scores.clear();
+                        scratch
+                            .pruned_scores
+                            .extend(scratch.pruned.iter().map(|&i| decision.keep_scores[i]));
+                        package = package_tokens(&scratch.pruned_rows, &scratch.pruned_scores);
+                    }
+                    if package.is_some() {
                         scratch.new_origin.push(None);
                     }
-                }
-                Tensor::concat_rows_into(&parts, &mut scratch.repacked);
-                drop(parts);
-                // Hand the repacked matrix to `tokens` and recycle the old
-                // token storage as the next stage's repack buffer.
-                std::mem::swap(&mut tokens, &mut scratch.repacked);
-                std::mem::swap(&mut scratch.origin, &mut scratch.new_origin);
-            }
-            tokens_per_block.push(tokens.dim(0));
-            let (out, _) = block.infer_with(&tokens, None, &mut scratch.vit);
-            tokens = out;
-        }
+                    scratch.repack.finish(tokens, package.as_ref());
+                    std::mem::swap(&mut scratch.origin, &mut scratch.new_origin);
+                });
         PrunedInference {
-            logits: self.backbone.classify_tokens_infer(&tokens),
+            logits,
             tokens_per_block,
             selector_keep_fractions: fractions,
             surviving_patches: surviving,
@@ -350,15 +334,13 @@ impl PrunedViT {
     /// the cost-prediction entry point (e.g. over
     /// [`PrunedViT::expected_tokens_per_block`], no inference needed).
     pub fn macs_for_tokens(&self, tokens_per_block: &[usize]) -> u64 {
-        let mut total = self.backbone.patch_embed().macs();
-        for (i, block) in self.backbone.blocks().iter().enumerate() {
-            let n = tokens_per_block[i];
-            total += block.macs(n);
-            if let Some(sel) = &self.selectors[i] {
-                total += sel.macs(n.saturating_sub(1));
-            }
-        }
-        total + self.backbone.config().embed_dim as u64 * self.backbone.config().num_classes as u64
+        let selector_macs: u64 = self
+            .selectors
+            .iter()
+            .zip(tokens_per_block)
+            .filter_map(|(sel, &n)| sel.as_ref().map(|s| s.macs(n.saturating_sub(1))))
+            .sum();
+        self.backbone.macs_for_tokens(tokens_per_block) + selector_macs
     }
 
     /// Declares the nominal keep ratio of the selector at `block`: the

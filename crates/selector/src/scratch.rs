@@ -1,17 +1,16 @@
-//! Reusable buffers for the pruned inference paths.
+//! The per-worker workspace of every inference path.
 //!
-//! Both the adaptive ([`crate::PrunedViT`]) and static
-//! ([`crate::StaticPrunedViT`]) models repeat the same repacking dance per
-//! selector stage: slice off the class token, score the patch tokens, gather
-//! the survivors into a smaller dense matrix, and concatenate the parts back
-//! together. [`PruneScratch`] owns every buffer that dance needs — tensors
-//! for the sliced/gathered/repacked matrices, index vectors for the
-//! keep/prune partitions, and the backbone's [`InferScratch`] — so a batched
-//! engine allocates them once per batch instead of once per image.
+//! A batched engine checks out one [`PruneScratch`] per worker and hands it
+//! to whichever model it drives: the backbone's [`InferScratch`] serves the
+//! blocks of every float model, and each model family adds the buffers its
+//! stages need — the learned selectors' repack and package buffers here,
+//! the rank-and-keep policies' [`RankScratch`], the int8 pipeline's
+//! [`QuantScratch`]. Everything is allocated once per worker instead of
+//! once per image.
 
 use heatvit_quant::QuantScratch;
 use heatvit_tensor::Tensor;
-use heatvit_tfprune::TfScratch;
+use heatvit_tfprune::{RankScratch, Repack};
 use heatvit_vit::InferScratch;
 
 /// Workspace for dense token repacking plus backbone inference.
@@ -21,29 +20,21 @@ use heatvit_vit::InferScratch;
 /// arithmetic (bit-identical results).
 #[derive(Debug, Clone, Default)]
 pub struct PruneScratch {
-    /// Backbone (per-block) activation buffers.
+    /// Backbone (per-block) activation buffers, shared by every float
+    /// model.
     pub vit: InferScratch,
     /// Integer-pipeline buffers (used by the `heatvit-quant` backend when it
     /// runs under the same batched engine; unused by the float variants).
     pub quant: QuantScratch,
-    /// Training-free pruning buffers (used by the `heatvit-tfprune` backends
-    /// under the same batched engine; unused by the learned variants). Owns
-    /// its own backbone scratch, so the training-free paths never alias the
-    /// buffers above.
-    pub tf: TfScratch,
-    /// Patch-token rows (class token excluded) `[N-1, D]`.
-    pub(crate) patches: Tensor,
-    /// The class-token row `[1, D]`.
-    pub(crate) cls: Tensor,
-    /// Gathered informative rows `[K, D]`.
-    pub(crate) kept_rows: Tensor,
+    /// Stage buffers of the `heatvit-tfprune` rank-and-keep policies.
+    pub rank: RankScratch,
+    /// The learned selectors' dense repack.
+    pub(crate) repack: Repack,
     /// Gathered pruned rows `[N-1-K, D]` (package input).
     pub(crate) pruned_rows: Tensor,
-    /// The repacked token matrix handed to the next block.
-    pub(crate) repacked: Tensor,
-    /// Indices of kept patch tokens (also reused as a sort buffer).
+    /// Indices of kept patch tokens.
     pub(crate) kept: Vec<usize>,
-    /// Indices of pruned patch tokens / ranking order buffer.
+    /// Indices of pruned patch tokens.
     pub(crate) pruned: Vec<usize>,
     /// Keep scores of the pruned tokens (packager weights).
     pub(crate) pruned_scores: Vec<f32>,

@@ -1,144 +1,84 @@
-//! Hard-drop CLS-attention pruning (the Adaptive Sparse ViT recipe).
+//! The CLS-attention scorer (the Adaptive Sparse ViT criterion).
+//!
+//! The scorer runs *in front of* a block: it evaluates only the block's
+//! `ln1 → W_q` row for the class token and `ln1 → W_k` for every token,
+//! then averages `softmax(q_cls · Kᵀ / √d)` over heads — the first row of
+//! the attention matrix the block is about to compute, at `≈ N·D²` MACs
+//! instead of the block's full `4N·D² + 2N²·D`. The block then runs on the
+//! repacked survivors, so the expensive quadratic work is only ever done on
+//! kept tokens. Tokens the class token barely attends to are the ones the
+//! classification head will barely read.
 
-use crate::scoring;
-use crate::scratch::TfScratch;
-use crate::{keep_count, planned_tokens, validate_stages, TfInference, TfStage};
+use crate::rank::dot;
+use crate::scratch::RankScratch;
 use heatvit_tensor::Tensor;
-use heatvit_vit::VisionTransformer;
+use heatvit_vit::EncoderBlock;
 
-/// A backbone with training-free CLS-attention token pruning: in front of
-/// each configured stage, the class token's attention distribution (from
-/// that block's own `W_q`/`W_k`, computed *before* the block runs) ranks
-/// the patch tokens, and only the top fraction survives.
-///
-/// No parameters beyond the backbone's own — the pruning policy is a pure
-/// function of weights the model already has, so any pretrained dense
-/// checkpoint becomes a pruned variant for free.
-///
-/// `Clone` so a serving deployment can stamp out per-server replicas,
-/// matching the other backend types.
-#[derive(Debug, Clone)]
-pub struct ClsAttnPrunedViT {
-    backbone: VisionTransformer,
-    stages: Vec<TfStage>,
+/// Fills `scratch.scores` with the mean-over-heads CLS-attention
+/// probability of every current token (index 0 is the class token's
+/// self-attention mass; indices `1..N` are the patch tokens). Also leaves
+/// the layer-normed tokens in `scratch.normed` for follow-up projections.
+pub(crate) fn cls_attention_scores(block: &EncoderBlock, tokens: &Tensor, s: &mut RankScratch) {
+    let attn = block.attention();
+    let n = tokens.dim(0);
+    let heads = attn.num_heads();
+    let hd = attn.head_dim();
+    let scale = 1.0 / (hd as f32).sqrt();
+    block.ln1().infer_into(tokens, &mut s.normed);
+    s.normed.slice_rows_into(0, 1, &mut s.cls_normed);
+    attn.wq().infer_with(&s.cls_normed, &mut s.gs, &mut s.q_cls);
+    attn.wk().infer_with(&s.normed, &mut s.gs, &mut s.k_proj);
+    s.scores.clear();
+    s.scores.resize(n, 0.0);
+    for h in 0..heads {
+        let base = h * hd;
+        let q = &s.q_cls.row(0)[base..base + hd];
+        s.head_row.clear();
+        for j in 0..n {
+            let k = &s.k_proj.row(j)[base..base + hd];
+            s.head_row.push(dot(q, k) * scale);
+        }
+        softmax_in_place(&mut s.head_row);
+        for (acc, &p) in s.scores.iter_mut().zip(&s.head_row) {
+            *acc += p;
+        }
+    }
+    for v in &mut s.scores {
+        *v /= heads as f32;
+    }
 }
 
-// Serving worker pools own models and move them across threads; a future
-// non-`Send`/`Sync` field must fail to build here rather than at the spawn
-// site.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ClsAttnPrunedViT>();
-};
-
-impl ClsAttnPrunedViT {
-    /// Canonical variant label this backend registers in engine and serving
-    /// report tables.
-    pub const VARIANT: &'static str = "cls-attn";
-
-    /// Wraps a backbone with the given ratio stages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any stage is out of range, out of block order, or has a
-    /// ratio outside `(0, 1]`.
-    pub fn new(backbone: VisionTransformer, stages: Vec<TfStage>) -> Self {
-        validate_stages(&stages, backbone.config().depth);
-        Self { backbone, stages }
+/// Multiply–accumulate cost of one scoring pass over `n` tokens: the class
+/// token's query row (`D²`), the key projection (`n·D²`), and the
+/// per-head attention dots (`n·D`); `with_values` adds the value
+/// projection (`n·D²`) and the value norms (`n·D`) of the top-k criterion.
+pub(crate) fn scoring_macs(block: &EncoderBlock, n: usize, with_values: bool) -> u64 {
+    let attn = block.attention();
+    let d = (attn.num_heads() * attn.head_dim()) as u64;
+    let mut macs = attn.wq().macs(1) + attn.wk().macs(n) + n as u64 * d;
+    if with_values {
+        macs += attn.wv().macs(n) + n as u64 * d;
     }
+    macs
+}
 
-    /// The wrapped backbone.
-    pub fn backbone(&self) -> &VisionTransformer {
-        &self.backbone
+fn softmax_in_place(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
     }
-
-    /// The installed pruning stages, in block order.
-    pub fn stages(&self) -> &[TfStage] {
-        &self.stages
-    }
-
-    /// The token count entering each block, computed without running
-    /// inference — *exact*: the keep arithmetic is input-agnostic, so every
-    /// image sees these counts.
-    pub fn planned_tokens_per_block(&self) -> Vec<usize> {
-        planned_tokens(
-            &self.stages,
-            self.backbone.config().depth,
-            self.backbone.config().num_patches(),
-        )
-    }
-
-    /// Inference with CLS-attention pruning and dense repacking.
-    pub fn infer(&self, image: &Tensor) -> TfInference {
-        self.infer_with(image, &mut TfScratch::default())
-    }
-
-    /// [`ClsAttnPrunedViT::infer`] reusing a caller-provided scratch
-    /// workspace (bit-identical results).
-    pub fn infer_with(&self, image: &Tensor, scratch: &mut TfScratch) -> TfInference {
-        let mut tokens = self.backbone.patch_embed().infer(image);
-        let depth = self.backbone.config().depth;
-        let mut tokens_per_block = Vec::with_capacity(depth);
-        let mut stage_iter = self.stages.iter().peekable();
-        for (bi, block) in self.backbone.blocks().iter().enumerate() {
-            if let Some(stage) = stage_iter.peek() {
-                if stage.block == bi {
-                    let k = keep_count(stage.keep_ratio, tokens.dim(0) - 1);
-                    scoring::cls_attention_scores(block, &tokens, scratch);
-                    scoring::select_top_patches(k, scratch);
-                    scoring::repack_hard(&mut tokens, scratch);
-                    stage_iter.next();
-                }
-            }
-            tokens_per_block.push(tokens.dim(0));
-            let (out, _) = block.infer_with(&tokens, None, &mut scratch.vit);
-            tokens = out;
-        }
-        TfInference {
-            logits: self.backbone.classify_tokens_infer(&tokens),
-            tokens_per_block,
-        }
-    }
-
-    /// Predicted class for one image.
-    pub fn predict(&self, image: &Tensor) -> usize {
-        self.infer(image).logits.argmax_rows()[0]
-    }
-
-    /// Multiply–accumulate count of one inference, including the scoring
-    /// overhead the stages spend before each governed block.
-    pub fn macs(&self, inference: &TfInference) -> u64 {
-        self.macs_for_tokens(&inference.tokens_per_block)
-    }
-
-    /// [`ClsAttnPrunedViT::macs`] at an arbitrary per-block token schedule
-    /// (the cost-prediction entry point, typically over
-    /// [`ClsAttnPrunedViT::planned_tokens_per_block`]). Scoring runs on the
-    /// *pre-prune* token count of each stage, and that overhead is charged
-    /// honestly on top of the backbone's own work.
-    pub fn macs_for_tokens(&self, tokens_per_block: &[usize]) -> u64 {
-        let cfg = self.backbone.config();
-        let mut total = self.backbone.patch_embed().macs();
-        for (i, block) in self.backbone.blocks().iter().enumerate() {
-            total += block.macs(tokens_per_block[i]);
-        }
-        total += cfg.embed_dim as u64 * cfg.num_classes as u64;
-        for stage in &self.stages {
-            let pre = if stage.block == 0 {
-                cfg.num_tokens()
-            } else {
-                tokens_per_block[stage.block - 1]
-            };
-            total += scoring::scoring_macs(&self.backbone.blocks()[stage.block], pre, false);
-        }
-        total
+    for v in row.iter_mut() {
+        *v /= sum;
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use heatvit_vit::ViTConfig;
+    use crate::{RankPrunedViT, RankScratch, TfStage};
+    use heatvit_tensor::Tensor;
+    use heatvit_vit::{InferScratch, ViTConfig, VisionTransformer};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -164,7 +104,7 @@ mod tests {
     #[test]
     fn keeps_exactly_the_requested_counts() {
         let (b, mut rng) = backbone(0);
-        let model = ClsAttnPrunedViT::new(b, stages());
+        let model = RankPrunedViT::cls_attn(b, stages());
         let image = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
         let out = model.infer(&image);
         // ceil(0.7·16)=12 then ceil(0.5·12)=6, plus the class token.
@@ -176,7 +116,7 @@ mod tests {
         // Unlike the attention-reuse baselines, the scorer uses the
         // *upcoming* block's projections, so no fallback rule is needed.
         let (b, mut rng) = backbone(1);
-        let model = ClsAttnPrunedViT::new(
+        let model = RankPrunedViT::cls_attn(
             b,
             vec![TfStage {
                 block: 0,
@@ -190,26 +130,29 @@ mod tests {
     #[test]
     fn planned_tokens_match_inference_exactly() {
         let (b, mut rng) = backbone(2);
-        let model = ClsAttnPrunedViT::new(b, stages());
+        let model = RankPrunedViT::cls_attn(b, stages());
         let planned = model.planned_tokens_per_block();
         for _ in 0..3 {
             let image = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
             let out = model.infer(&image);
             assert_eq!(out.tokens_per_block, planned);
-            assert_eq!(model.macs_for_tokens(&planned), model.macs(&out));
+            assert_eq!(
+                model.macs_for_tokens(&planned),
+                model.macs_for_tokens(&out.tokens_per_block)
+            );
         }
     }
 
     #[test]
     fn scratch_and_fresh_paths_are_bit_identical() {
         let (b, mut rng) = backbone(3);
-        let model = ClsAttnPrunedViT::new(b, stages());
+        let model = RankPrunedViT::cls_attn(b, stages());
         let image = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
         let fresh = model.infer(&image);
-        let mut scratch = TfScratch::default();
+        let (mut vit, mut scratch) = (InferScratch::default(), RankScratch::default());
         // A warm scratch (second use) must not change a single bit.
-        model.infer_with(&image, &mut scratch);
-        let warm = model.infer_with(&image, &mut scratch);
+        model.infer_with(&image, &mut vit, &mut scratch);
+        let warm = model.infer_with(&image, &mut vit, &mut scratch);
         assert_eq!(fresh.logits.data(), warm.logits.data());
     }
 
@@ -217,7 +160,7 @@ mod tests {
     fn scoring_overhead_is_charged() {
         let (b, _) = backbone(4);
         let dense_macs = b.macs();
-        let unpruned = ClsAttnPrunedViT::new(
+        let unpruned = RankPrunedViT::cls_attn(
             b,
             vec![TfStage {
                 block: 2,
@@ -233,7 +176,7 @@ mod tests {
     #[should_panic(expected = "block order")]
     fn stages_must_be_ordered() {
         let (b, _) = backbone(5);
-        ClsAttnPrunedViT::new(
+        RankPrunedViT::cls_attn(
             b,
             vec![
                 TfStage {
@@ -252,7 +195,7 @@ mod tests {
     #[should_panic(expected = "keep ratio")]
     fn ratio_must_be_valid() {
         let (b, _) = backbone(6);
-        ClsAttnPrunedViT::new(
+        RankPrunedViT::cls_attn(
             b,
             vec![TfStage {
                 block: 1,

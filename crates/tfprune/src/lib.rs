@@ -1,113 +1,58 @@
 //! # heatvit-tfprune
 //!
-//! Training-free token pruning over the shared ViT backbone: three
-//! inference-only backends that need **no selector training**, giving the
-//! learned HeatViT schedule in-repo baselines to beat.
+//! Rank-and-keep token pruning over the shared ViT backbone: one model,
+//! [`RankPrunedViT`], whose [`RankPolicy`] scores the patch tokens in
+//! front of each configured block, keeps a fixed number of them, and
+//! repacks the token matrix densely. None of the policies needs selector
+//! training, so they are the in-repo baselines the learned HeatViT
+//! schedule (`heatvit-selector`) has to beat.
 //!
-//! All three rank tokens with the same cheap statistic, computed *before*
-//! the block's full attention expansion: the class token's attention
-//! distribution. Only the upcoming block's `LayerNorm → W_q` row for the
-//! class token and `W_k` for every token are evaluated — `≈ N·D²` MACs, a
-//! small fraction of the `2N²·D + 4N·D²` the full block would spend — then
-//! `softmax(q_cls · Kᵀ / √d)` is averaged over heads. Tokens the class
-//! token barely attends to are the ones the classification head will barely
-//! read, so they can be removed *before* paying for the block.
+//! The policies are the workspace's six benchmarked configurations:
 //!
-//! The three backends differ only in what they do with the ranking:
+//! * **CLS-attention drop** ([`RankPrunedViT::cls_attn`]) — rank by the
+//!   class token's attention distribution, computed from the upcoming
+//!   block's own `W_q`/`W_k` *before* the block runs (`≈ N·D²` MACs of the
+//!   block's `2N²·D + 4N·D²`), and drop the low-scored tokens (the Adaptive
+//!   Sparse ViT recipe).
+//! * **CLS-attention merge** ([`RankPrunedViT::new`], alias
+//!   [`TokenMergeViT`]) — same ranking, but each pruned token is folded into
+//!   its most similar kept token (Multi-Scale Token Mergence), preserving
+//!   information at the hard drop's downstream MAC budget.
+//! * **CLS-attention + value-norm top-k** ([`RankPrunedViT::top_k`]) —
+//!   literal keep *counts* at fixed depths.
+//! * **Static cliff attention, token norm, seeded random**
+//!   ([`RankPrunedViT::cliff_attention`], [`RankPrunedViT::token_norm`],
+//!   [`RankPrunedViT::random`]) — the static baselines of paper Section
+//!   II-D.
 //!
-//! * [`ClsAttnPrunedViT`] — hard drop: keep the top fraction of patch
-//!   tokens per configured stage (the Adaptive Sparse ViT recipe).
-//! * [`TokenMergeViT`] — mergence: same stages, but each pruned token is
-//!   folded into its most similar kept token by a score-weighted average
-//!   (Multi-Scale Token Mergence), preserving information at the same
-//!   downstream MAC budget as the hard drop.
-//! * [`TopKPrunedViT`] — fixed-layer top-k: static keep *counts* at fixed
-//!   depths, ranked by CLS attention plus each token's value-vector norm
-//!   (attention says where the class token looks, the value norm says how
-//!   much a token injects when looked at).
-//!
-//! Every model is input-agnostic in its *token counts* (which tokens
+//! Every policy is input-agnostic in its *token counts* (which tokens
 //! survive varies per image, how many never does), so cost profiles are
 //! exact: the planned per-block schedule is the schedule every image
-//! executes, and a latency model over it predicts real work.
+//! executes. [`Repack`], the slice/gather/concat step every stage ends
+//! with, is shared with the learned selectors.
 
 #![warn(missing_docs)]
 
 mod cls_attn;
 mod merge;
-mod scoring;
+mod rank;
 mod scratch;
+mod static_prune;
 mod topk;
 
-pub use cls_attn::ClsAttnPrunedViT;
-pub use merge::TokenMergeViT;
-pub use scratch::TfScratch;
-pub use topk::{TopKPrunedViT, TopKStage};
+pub use rank::{RankInference, RankPolicy, RankPrunedViT, TokenMergeViT};
+pub use scratch::{RankScratch, Repack};
+pub use topk::TopKStage;
 
-use heatvit_tensor::Tensor;
-
-/// One training-free ratio stage: in front of `block`, keep
-/// `ceil(keep_ratio · N)` of the `N` current patch tokens (the class token
-/// is never counted and never pruned).
+/// One ratio stage: in front of `block`, keep `ceil(keep_ratio · N)` of
+/// the `N` current patch tokens (the class token is never counted and
+/// never pruned).
 #[derive(Debug, Clone, Copy)]
 pub struct TfStage {
-    /// Block index the stage precedes (scores come from this block's own
-    /// `W_q`/`W_k`, so a stage in front of block 0 is well-defined).
+    /// Block index the stage precedes (the CLS-attention scores come from
+    /// this block's own `W_q`/`W_k`, so a stage in front of block 0 is
+    /// well-defined).
     pub block: usize,
     /// Fraction of current patch tokens to keep, in `(0, 1]`.
     pub keep_ratio: f32,
-}
-
-/// Inference result of a training-free pruned ViT.
-#[derive(Debug, Clone)]
-pub struct TfInference {
-    /// Classification logits `[1, classes]`.
-    pub logits: Tensor,
-    /// Token count entering each block (class token included).
-    pub tokens_per_block: Vec<usize>,
-}
-
-/// Validates a ratio-stage schedule against a backbone depth.
-///
-/// # Panics
-///
-/// Panics with the same messages as the other pruned model types if a
-/// stage is out of range, out of block order, or has a ratio outside
-/// `(0, 1]`.
-pub(crate) fn validate_stages(stages: &[TfStage], depth: usize) {
-    let mut last = 0;
-    for s in stages {
-        assert!(s.block < depth, "stage block out of range");
-        assert!(s.block >= last, "stages must be in block order");
-        assert!(
-            s.keep_ratio > 0.0 && s.keep_ratio <= 1.0,
-            "keep ratio must be in (0, 1]"
-        );
-        last = s.block;
-    }
-}
-
-/// The ceil-and-clamp keep arithmetic every ratio stage uses: at least one
-/// patch token always survives.
-pub(crate) fn keep_count(keep_ratio: f32, n_patches: usize) -> usize {
-    ((keep_ratio * n_patches as f32).ceil() as usize).clamp(1, n_patches)
-}
-
-/// The planned per-block token counts of a ratio-stage schedule — exact,
-/// since the keep arithmetic depends only on the schedule, never on the
-/// image.
-pub(crate) fn planned_tokens(stages: &[TfStage], depth: usize, n_patches: usize) -> Vec<usize> {
-    let mut n = n_patches;
-    let mut out = Vec::with_capacity(depth);
-    let mut iter = stages.iter().peekable();
-    for bi in 0..depth {
-        if let Some(stage) = iter.peek() {
-            if stage.block == bi {
-                n = keep_count(stage.keep_ratio, n);
-                iter.next();
-            }
-        }
-        out.push(n + 1); // + class token
-    }
-    out
 }

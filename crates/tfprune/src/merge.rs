@@ -1,151 +1,94 @@
 //! Token mergence: prune by folding, not dropping (Multi-Scale Token
 //! Mergence).
+//!
+//! Same stages and CLS-attention ranking as the hard drop, but instead of
+//! discarding the low-scored tokens, each one is folded into its most
+//! cosine-similar kept token by a score-weighted average. Downstream blocks
+//! see exactly the hard drop's token counts — the same MAC budget — but the
+//! kept rows still carry a weighted trace of what was removed, which is
+//! what preserves the accuracy hard dropping loses.
 
-use crate::scoring;
-use crate::scratch::TfScratch;
-use crate::{keep_count, planned_tokens, validate_stages, TfInference, TfStage};
-use heatvit_tensor::Tensor;
-use heatvit_vit::VisionTransformer;
+use crate::rank::{dot, norm};
+use crate::scratch::RankScratch;
 
-/// A backbone with training-free token *mergence*: stages and CLS-attention
-/// ranking identical to [`crate::ClsAttnPrunedViT`], but instead of
-/// discarding the low-scored tokens, each one is folded into its most
-/// cosine-similar kept token by a score-weighted average (the class token
-/// is always kept and never merged into).
-///
-/// Downstream blocks see exactly the hard drop's token counts — the same
-/// MAC budget — but the kept rows still carry a weighted trace of what was
-/// removed, which is what preserves the accuracy hard dropping loses.
-///
-/// `Clone` so a serving deployment can stamp out per-server replicas,
-/// matching the other backend types.
-#[derive(Debug, Clone)]
-pub struct TokenMergeViT {
-    backbone: VisionTransformer,
-    stages: Vec<TfStage>,
+/// Folds every pruned patch into its most cosine-similar kept patch, in
+/// place on the gathered kept rows of `s.repack`: each kept row becomes the
+/// score-weighted average of itself and the pruned rows assigned to it
+/// (weights are the CLS-attention probabilities, so a near-discarded token
+/// nudges its host only slightly). The class token passes through
+/// untouched, and token counts match the hard drop exactly.
+pub(crate) fn fold_pruned(s: &mut RankScratch) {
+    let r = &mut s.repack;
+    let k = s.kept.len();
+
+    // Seed each kept row's score weight; the row itself is premultiplied
+    // *lazily* on first fold, so a kept token that absorbs nothing passes
+    // through bit-identical to the hard drop.
+    s.merge_weight.clear();
+    s.merged.clear();
+    for &i in &s.kept {
+        s.merge_weight.push(weight(s.scores[i + 1]));
+        s.merged.push(false);
+    }
+    // Fold every pruned patch into its nearest kept patch.
+    for &p in &s.order[k..] {
+        let pruned = r.patches.row(p);
+        let pruned_norm = norm(pruned).max(1e-12);
+        let mut best = 0usize;
+        let mut best_sim = f32::NEG_INFINITY;
+        for (j, &i) in s.kept.iter().enumerate() {
+            let kept = r.patches.row(i);
+            let sim = dot(pruned, kept) / (pruned_norm * norm(kept).max(1e-12));
+            if sim > best_sim {
+                best_sim = sim;
+                best = j;
+            }
+        }
+        if !s.merged[best] {
+            s.merged[best] = true;
+            let w = s.merge_weight[best];
+            for v in r.kept_rows.row_mut(best) {
+                *v *= w;
+            }
+        }
+        let w = weight(s.scores[p + 1]);
+        for (acc, &v) in r.kept_rows.row_mut(best).iter_mut().zip(pruned) {
+            *acc += w * v;
+        }
+        s.merge_weight[best] += w;
+    }
+    // Normalize the folded rows back to a weighted average.
+    for j in 0..k {
+        if s.merged[j] {
+            let w = s.merge_weight[j];
+            for v in r.kept_rows.row_mut(j) {
+                *v /= w;
+            }
+        }
+    }
 }
 
-// Serving worker pools own models and move them across threads; a future
-// non-`Send`/`Sync` field must fail to build here rather than at the spawn
-// site.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<TokenMergeViT>();
-};
+/// The similarity products one merge charges on top of its scoring pass:
+/// every pruned patch is compared with every kept patch (`D` MACs each).
+/// The remaining merge arithmetic is `O((pruned + kept) · D)` element-wise
+/// work, in the same class as the residual adds the MAC model already
+/// leaves to the vector units.
+pub(crate) fn merge_macs(pre: usize, kept: usize, dim: usize) -> u64 {
+    let pruned = (pre - 1) - kept;
+    (pruned * kept * dim) as u64
+}
 
-impl TokenMergeViT {
-    /// Canonical variant label this backend registers in engine and serving
-    /// report tables.
-    pub const VARIANT: &'static str = "token-merge";
-
-    /// Wraps a backbone with the given ratio stages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any stage is out of range, out of block order, or has a
-    /// ratio outside `(0, 1]`.
-    pub fn new(backbone: VisionTransformer, stages: Vec<TfStage>) -> Self {
-        validate_stages(&stages, backbone.config().depth);
-        Self { backbone, stages }
-    }
-
-    /// The wrapped backbone.
-    pub fn backbone(&self) -> &VisionTransformer {
-        &self.backbone
-    }
-
-    /// The installed mergence stages, in block order.
-    pub fn stages(&self) -> &[TfStage] {
-        &self.stages
-    }
-
-    /// The token count entering each block, computed without running
-    /// inference — *exact*, and identical to the hard drop's schedule at
-    /// equal stages: mergence changes token *content*, never token counts.
-    pub fn planned_tokens_per_block(&self) -> Vec<usize> {
-        planned_tokens(
-            &self.stages,
-            self.backbone.config().depth,
-            self.backbone.config().num_patches(),
-        )
-    }
-
-    /// Inference with CLS-attention-ranked token mergence.
-    pub fn infer(&self, image: &Tensor) -> TfInference {
-        self.infer_with(image, &mut TfScratch::default())
-    }
-
-    /// [`TokenMergeViT::infer`] reusing a caller-provided scratch workspace
-    /// (bit-identical results).
-    pub fn infer_with(&self, image: &Tensor, scratch: &mut TfScratch) -> TfInference {
-        let mut tokens = self.backbone.patch_embed().infer(image);
-        let depth = self.backbone.config().depth;
-        let mut tokens_per_block = Vec::with_capacity(depth);
-        let mut stage_iter = self.stages.iter().peekable();
-        for (bi, block) in self.backbone.blocks().iter().enumerate() {
-            if let Some(stage) = stage_iter.peek() {
-                if stage.block == bi {
-                    let k = keep_count(stage.keep_ratio, tokens.dim(0) - 1);
-                    scoring::cls_attention_scores(block, &tokens, scratch);
-                    scoring::select_top_patches(k, scratch);
-                    scoring::repack_merge(&mut tokens, scratch);
-                    stage_iter.next();
-                }
-            }
-            tokens_per_block.push(tokens.dim(0));
-            let (out, _) = block.infer_with(&tokens, None, &mut scratch.vit);
-            tokens = out;
-        }
-        TfInference {
-            logits: self.backbone.classify_tokens_infer(&tokens),
-            tokens_per_block,
-        }
-    }
-
-    /// Predicted class for one image.
-    pub fn predict(&self, image: &Tensor) -> usize {
-        self.infer(image).logits.argmax_rows()[0]
-    }
-
-    /// Multiply–accumulate count of one inference, including scoring and
-    /// merge overhead.
-    pub fn macs(&self, inference: &TfInference) -> u64 {
-        self.macs_for_tokens(&inference.tokens_per_block)
-    }
-
-    /// [`TokenMergeViT::macs`] at an arbitrary per-block token schedule.
-    /// On top of the hard drop's accounting this charges the
-    /// pruned-to-kept cosine-similarity products (`pruned · kept · D` per
-    /// stage); the remaining merge arithmetic is `O((pruned + kept) · D)`
-    /// element-wise work, in the same class as the residual adds the MAC
-    /// model already leaves to the vector units.
-    pub fn macs_for_tokens(&self, tokens_per_block: &[usize]) -> u64 {
-        let cfg = self.backbone.config();
-        let mut total = self.backbone.patch_embed().macs();
-        for (i, block) in self.backbone.blocks().iter().enumerate() {
-            total += block.macs(tokens_per_block[i]);
-        }
-        total += cfg.embed_dim as u64 * cfg.num_classes as u64;
-        for stage in &self.stages {
-            let pre = if stage.block == 0 {
-                cfg.num_tokens()
-            } else {
-                tokens_per_block[stage.block - 1]
-            };
-            total += scoring::scoring_macs(&self.backbone.blocks()[stage.block], pre, false);
-            let kept = tokens_per_block[stage.block] - 1;
-            let pruned = (pre - 1) - kept;
-            total += (pruned * kept * cfg.embed_dim) as u64;
-        }
-        total
-    }
+/// A merge weight is never allowed to vanish: a zero-attention token still
+/// averages in with a floor weight instead of dividing by zero.
+fn weight(score: f32) -> f32 {
+    score.max(1e-8)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::ClsAttnPrunedViT;
-    use heatvit_vit::ViTConfig;
+    use crate::{RankPrunedViT, TfStage, TokenMergeViT};
+    use heatvit_tensor::Tensor;
+    use heatvit_vit::{ViTConfig, VisionTransformer};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -172,7 +115,7 @@ mod tests {
     fn token_counts_match_the_hard_drop_exactly() {
         let (b, mut rng) = backbone(0);
         let merge = TokenMergeViT::new(b.clone(), stages());
-        let drop = ClsAttnPrunedViT::new(b, stages());
+        let drop = RankPrunedViT::cls_attn(b, stages());
         assert_eq!(
             merge.planned_tokens_per_block(),
             drop.planned_tokens_per_block()
@@ -189,7 +132,7 @@ mod tests {
         // If they didn't, the fold was a no-op and nothing was preserved.
         let (b, mut rng) = backbone(1);
         let merge = TokenMergeViT::new(b.clone(), stages());
-        let drop = ClsAttnPrunedViT::new(b, stages());
+        let drop = RankPrunedViT::cls_attn(b, stages());
         let image = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
         assert_ne!(
             merge.infer(&image).logits.data(),
@@ -223,14 +166,17 @@ mod tests {
         let image = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
         let out = model.infer(&image);
         assert_eq!(out.tokens_per_block, planned);
-        assert_eq!(model.macs(&out), model.macs_for_tokens(&planned));
+        assert_eq!(
+            model.macs_for_tokens(&out.tokens_per_block),
+            model.macs_for_tokens(&planned)
+        );
     }
 
     #[test]
     fn mergence_charges_more_macs_than_the_hard_drop() {
         let (b, _) = backbone(4);
         let merge = TokenMergeViT::new(b.clone(), stages());
-        let drop = ClsAttnPrunedViT::new(b, stages());
+        let drop = RankPrunedViT::cls_attn(b, stages());
         assert!(
             merge.macs_for_tokens(&merge.planned_tokens_per_block())
                 > drop.macs_for_tokens(&drop.planned_tokens_per_block()),

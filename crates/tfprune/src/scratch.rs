@@ -1,19 +1,69 @@
-//! The reusable workspace of the training-free pruning paths.
+//! The reusable workspaces of the pruned inference paths.
 
 use heatvit_tensor::{GemmScratch, Tensor};
-use heatvit_vit::InferScratch;
 
-/// Workspace for CLS-attention scoring, token repacking/merging, and the
-/// backbone blocks — everything a training-free pruned inference touches,
-/// so a batched engine allocates once per worker instead of once per image.
+/// The dense token repack every pruning stage ends with: slice off the
+/// class token, gather the surviving patch rows, and concatenate the parts
+/// back into one dense token matrix, so every downstream GEMM stays dense
+/// (the hardware token-selection flow of paper Fig. 9).
+///
+/// Shared by the rank-and-keep policies and the learned selectors of
+/// `heatvit-selector`; the buffers grow on first use and are reused after.
+#[derive(Debug, Clone, Default)]
+pub struct Repack {
+    /// Patch-token rows (class token excluded) `[N-1, D]`.
+    pub(crate) patches: Tensor,
+    /// The class-token row `[1, D]`.
+    pub(crate) cls: Tensor,
+    /// Gathered (and, for mergence, merged-into) kept rows `[K, D]`.
+    pub(crate) kept_rows: Tensor,
+    /// The repacked token matrix handed to the next block.
+    pub(crate) repacked: Tensor,
+}
+
+impl Repack {
+    /// Splits `tokens` into the class row and the patch rows, returning the
+    /// patch rows.
+    pub fn split(&mut self, tokens: &Tensor) -> &Tensor {
+        tokens.slice_rows_into(0, 1, &mut self.cls);
+        tokens.slice_rows_into(1, tokens.dim(0), &mut self.patches);
+        &self.patches
+    }
+
+    /// The patch rows of the last [`Repack::split`].
+    pub fn patches(&self) -> &Tensor {
+        &self.patches
+    }
+
+    /// Gathers the `kept` patch rows (indices into the split patches).
+    pub fn gather(&mut self, kept: &[usize]) {
+        self.patches.gather_rows_into(kept, &mut self.kept_rows);
+    }
+
+    /// Replaces `tokens` with the class row, the gathered kept rows, and
+    /// `extra` (a summary token, if any), recycling the old token storage as
+    /// the next stage's repack buffer.
+    pub fn finish(&mut self, tokens: &mut Tensor, extra: Option<&Tensor>) {
+        match extra {
+            Some(extra) => {
+                Tensor::concat_rows_into(&[&self.cls, &self.kept_rows, extra], &mut self.repacked)
+            }
+            None => Tensor::concat_rows_into(&[&self.cls, &self.kept_rows], &mut self.repacked),
+        }
+        std::mem::swap(tokens, &mut self.repacked);
+    }
+}
+
+/// Workspace of [`crate::RankPrunedViT`]'s stages: scoring projections,
+/// rankings, the merge bookkeeping, and the dense repack. The backbone's
+/// own activation buffers live in the caller's `heatvit_vit::InferScratch`,
+/// so an engine worker owns exactly one of those.
 ///
 /// Cheap to construct; the single-image convenience paths build a fresh
 /// one, which keeps the scratch and non-scratch paths executing identical
 /// arithmetic (bit-identical results).
 #[derive(Debug, Clone, Default)]
-pub struct TfScratch {
-    /// Backbone (per-block) activation buffers.
-    pub vit: InferScratch,
+pub struct RankScratch {
     /// Packed-panel staging for the scoring projections.
     pub(crate) gs: GemmScratch,
     /// Layer-normed tokens the scoring projections read `[N, D]`.
@@ -26,18 +76,12 @@ pub struct TfScratch {
     pub(crate) k_proj: Tensor,
     /// Value projection of every token `[N, D]` (top-k scoring only).
     pub(crate) v_proj: Tensor,
-    /// Patch-token rows of the *original* (un-normed) tokens `[N-1, D]`.
-    pub(crate) patches: Tensor,
-    /// The original class-token row `[1, D]`.
-    pub(crate) cls: Tensor,
-    /// Gathered (and, for mergence, merged-into) kept rows `[K, D]`.
-    pub(crate) kept_rows: Tensor,
-    /// The repacked token matrix handed to the next block.
-    pub(crate) repacked: Tensor,
-    /// Mean-over-heads CLS-attention probability per token (index 0 is the
-    /// class token's self-attention mass).
+    /// The stage's dense repack buffers.
+    pub(crate) repack: Repack,
+    /// Score per current token; index 0 is the class token's slot, indices
+    /// `1..N` the patch tokens.
     pub(crate) scores: Vec<f32>,
-    /// One head's attention logits/probabilities during scoring.
+    /// One head's attention logits/probabilities, or the value norms.
     pub(crate) head_row: Vec<f32>,
     /// Patch indices in descending score order (`[..k]` kept, `[k..]`
     /// pruned).
@@ -55,5 +99,5 @@ pub struct TfScratch {
 // must fail to build here, not at the distant thread-spawn site.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
-    assert_send::<TfScratch>();
+    assert_send::<RankScratch>();
 };

@@ -1,11 +1,13 @@
-//! Fixed-layer top-k pruning: static keep *counts* at fixed depths, ranked
-//! by CLS attention plus value-vector norm.
+//! Fixed-layer top-k: static keep *counts* at fixed depths, ranked by CLS
+//! attention plus value-vector norm.
+//!
+//! The two summands are complementary: attention says where the class
+//! token looks, the value norm (`‖W_v·x‖`, normalized across tokens) says
+//! how much a token injects into the mix when looked at.
 
-use crate::scoring;
-use crate::scratch::TfScratch;
-use crate::TfInference;
-use heatvit_tensor::Tensor;
-use heatvit_vit::VisionTransformer;
+use crate::rank::norm;
+use crate::scratch::RankScratch;
+use heatvit_vit::EncoderBlock;
 
 /// One top-k stage: in front of `block`, keep the `keep` highest-scored
 /// patch tokens (the class token is never counted and never pruned).
@@ -17,152 +19,34 @@ pub struct TopKStage {
     pub keep: usize,
 }
 
-/// A backbone with fixed-layer top-k scorer pruning: at each configured
-/// depth, tokens are ranked by the sum of their mean CLS-attention
-/// probability and their value-norm share (`‖W_v·x‖` normalized across
-/// tokens), and a *static count* survives. The two summands are
-/// complementary: attention says where the class token looks, the value
-/// norm says how much a token injects into the mix when looked at.
-///
-/// `Clone` so a serving deployment can stamp out per-server replicas,
-/// matching the other backend types.
-#[derive(Debug, Clone)]
-pub struct TopKPrunedViT {
-    backbone: VisionTransformer,
-    stages: Vec<TopKStage>,
-}
-
-// Serving worker pools own models and move them across threads; a future
-// non-`Send`/`Sync` field must fail to build here rather than at the spawn
-// site.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<TopKPrunedViT>();
-};
-
-impl TopKPrunedViT {
-    /// Canonical variant label this backend registers in engine and serving
-    /// report tables.
-    pub const VARIANT: &'static str = "topk-attn";
-
-    /// Wraps a backbone with the given top-k stages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any stage is out of range, out of block order, or has a
-    /// zero keep count.
-    pub fn new(backbone: VisionTransformer, stages: Vec<TopKStage>) -> Self {
-        let depth = backbone.config().depth;
-        let mut last = 0;
-        for s in &stages {
-            assert!(s.block < depth, "stage block out of range");
-            assert!(s.block >= last, "stages must be in block order");
-            assert!(s.keep > 0, "keep count must be positive");
-            last = s.block;
+/// Adds each token's value-norm share to `scratch.scores` (the top-k
+/// criterion: CLS attention says where the class token looks, the value
+/// norm says how much a token injects when looked at). Norm shares are
+/// normalized to sum 1 across tokens so both summands live on the same
+/// scale. Requires `cls_attention_scores` to have run (reads
+/// `scratch.normed`).
+pub(crate) fn add_value_norm_scores(block: &EncoderBlock, s: &mut RankScratch) {
+    let attn = block.attention();
+    attn.wv().infer_with(&s.normed, &mut s.gs, &mut s.v_proj);
+    let n = s.v_proj.dim(0);
+    s.head_row.clear();
+    for j in 0..n {
+        s.head_row.push(norm(s.v_proj.row(j)));
+    }
+    let total: f32 = s.head_row.iter().sum();
+    if total > 0.0 {
+        for (acc, &v) in s.scores.iter_mut().zip(&s.head_row) {
+            *acc += v / total;
         }
-        Self { backbone, stages }
-    }
-
-    /// The wrapped backbone.
-    pub fn backbone(&self) -> &VisionTransformer {
-        &self.backbone
-    }
-
-    /// The installed top-k stages, in block order.
-    pub fn stages(&self) -> &[TopKStage] {
-        &self.stages
-    }
-
-    /// The token count entering each block, computed without running
-    /// inference — *exact*: the keep counts are literal.
-    pub fn planned_tokens_per_block(&self) -> Vec<usize> {
-        let depth = self.backbone.config().depth;
-        let mut n = self.backbone.config().num_patches();
-        let mut out = Vec::with_capacity(depth);
-        let mut iter = self.stages.iter().peekable();
-        for bi in 0..depth {
-            if let Some(stage) = iter.peek() {
-                if stage.block == bi {
-                    n = stage.keep.min(n);
-                    iter.next();
-                }
-            }
-            out.push(n + 1); // + class token
-        }
-        out
-    }
-
-    /// Inference with fixed-layer top-k pruning.
-    pub fn infer(&self, image: &Tensor) -> TfInference {
-        self.infer_with(image, &mut TfScratch::default())
-    }
-
-    /// [`TopKPrunedViT::infer`] reusing a caller-provided scratch workspace
-    /// (bit-identical results).
-    pub fn infer_with(&self, image: &Tensor, scratch: &mut TfScratch) -> TfInference {
-        let mut tokens = self.backbone.patch_embed().infer(image);
-        let depth = self.backbone.config().depth;
-        let mut tokens_per_block = Vec::with_capacity(depth);
-        let mut stage_iter = self.stages.iter().peekable();
-        for (bi, block) in self.backbone.blocks().iter().enumerate() {
-            if let Some(stage) = stage_iter.peek() {
-                if stage.block == bi {
-                    let k = stage.keep.min(tokens.dim(0) - 1);
-                    scoring::cls_attention_scores(block, &tokens, scratch);
-                    scoring::add_value_norm_scores(block, scratch);
-                    scoring::select_top_patches(k, scratch);
-                    scoring::repack_hard(&mut tokens, scratch);
-                    stage_iter.next();
-                }
-            }
-            tokens_per_block.push(tokens.dim(0));
-            let (out, _) = block.infer_with(&tokens, None, &mut scratch.vit);
-            tokens = out;
-        }
-        TfInference {
-            logits: self.backbone.classify_tokens_infer(&tokens),
-            tokens_per_block,
-        }
-    }
-
-    /// Predicted class for one image.
-    pub fn predict(&self, image: &Tensor) -> usize {
-        self.infer(image).logits.argmax_rows()[0]
-    }
-
-    /// Multiply–accumulate count of one inference, including the scoring
-    /// overhead (query row, key *and* value projections, dots and norms)
-    /// the stages spend before each governed block.
-    pub fn macs(&self, inference: &TfInference) -> u64 {
-        self.macs_for_tokens(&inference.tokens_per_block)
-    }
-
-    /// [`TopKPrunedViT::macs`] at an arbitrary per-block token schedule
-    /// (the cost-prediction entry point, typically over
-    /// [`TopKPrunedViT::planned_tokens_per_block`]).
-    pub fn macs_for_tokens(&self, tokens_per_block: &[usize]) -> u64 {
-        let cfg = self.backbone.config();
-        let mut total = self.backbone.patch_embed().macs();
-        for (i, block) in self.backbone.blocks().iter().enumerate() {
-            total += block.macs(tokens_per_block[i]);
-        }
-        total += cfg.embed_dim as u64 * cfg.num_classes as u64;
-        for stage in &self.stages {
-            let pre = if stage.block == 0 {
-                cfg.num_tokens()
-            } else {
-                tokens_per_block[stage.block - 1]
-            };
-            total += scoring::scoring_macs(&self.backbone.blocks()[stage.block], pre, true);
-        }
-        total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use heatvit_vit::ViTConfig;
+    use crate::RankPrunedViT;
+    use heatvit_tensor::Tensor;
+    use heatvit_vit::{ViTConfig, VisionTransformer};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -182,7 +66,7 @@ mod tests {
     #[test]
     fn keeps_literal_counts() {
         let (b, mut rng) = backbone(0);
-        let model = TopKPrunedViT::new(b, stages());
+        let model = RankPrunedViT::top_k(b, stages());
         let image = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
         let out = model.infer(&image);
         assert_eq!(out.tokens_per_block, vec![17, 17, 11, 11, 6, 6]);
@@ -191,7 +75,7 @@ mod tests {
     #[test]
     fn oversized_keep_is_clamped_to_the_tokens_present() {
         let (b, mut rng) = backbone(1);
-        let model = TopKPrunedViT::new(
+        let model = RankPrunedViT::top_k(
             b,
             vec![
                 TopKStage { block: 1, keep: 4 },
@@ -210,13 +94,16 @@ mod tests {
     #[test]
     fn planned_tokens_and_macs_match_inference() {
         let (b, mut rng) = backbone(2);
-        let model = TopKPrunedViT::new(b, stages());
+        let model = RankPrunedViT::top_k(b, stages());
         let planned = model.planned_tokens_per_block();
         for _ in 0..3 {
             let image = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
             let out = model.infer(&image);
             assert_eq!(out.tokens_per_block, planned);
-            assert_eq!(model.macs(&out), model.macs_for_tokens(&planned));
+            assert_eq!(
+                model.macs_for_tokens(&out.tokens_per_block),
+                model.macs_for_tokens(&planned)
+            );
         }
     }
 
@@ -228,10 +115,10 @@ mod tests {
         let (b, mut rng) = backbone(3);
         let image = Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
         let tokens = b.patch_embed().infer(&image);
-        let mut s = TfScratch::default();
-        crate::scoring::cls_attention_scores(&b.blocks()[0], &tokens, &mut s);
+        let mut s = RankScratch::default();
+        crate::cls_attn::cls_attention_scores(&b.blocks()[0], &tokens, &mut s);
         let attn_only = s.scores.clone();
-        crate::scoring::add_value_norm_scores(&b.blocks()[0], &mut s);
+        add_value_norm_scores(&b.blocks()[0], &mut s);
         assert_ne!(attn_only, s.scores);
         // Both summands are probability-mass-like: each sums to ~1.
         let sum: f32 = s.scores.iter().sum();
@@ -242,6 +129,6 @@ mod tests {
     #[should_panic(expected = "keep count must be positive")]
     fn zero_keep_rejected() {
         let (b, _) = backbone(4);
-        TopKPrunedViT::new(b, vec![TopKStage { block: 1, keep: 0 }]);
+        RankPrunedViT::top_k(b, vec![TopKStage { block: 1, keep: 0 }]);
     }
 }

@@ -134,14 +134,39 @@ impl VisionTransformer {
     }
 
     /// [`VisionTransformer::infer`] reusing a caller-provided scratch
-    /// workspace (bit-identical results; see [`InferScratch`]).
+    /// workspace (bit-identical results; see [`InferScratch`]): the
+    /// stage-free case of [`VisionTransformer::infer_staged`].
     pub fn infer_with(&self, image: &Tensor, scratch: &mut InferScratch) -> Tensor {
+        self.infer_staged(image, scratch, |_, _, _, _| {}).0
+    }
+
+    /// The tape-free forward loop every float model runs: patch embed,
+    /// then for each block the `stage` hook, the recorded token count, and
+    /// the block itself; then the classification head. Returns the logits
+    /// and the token count entering each block.
+    ///
+    /// `stage` receives the block index, the block, the token matrix it may
+    /// rewrite in place (a pruning stage repacks it densely, so the block
+    /// and everything after run on fewer rows — the token-selection flow of
+    /// paper Fig. 9), and the previous block's attention maps (`None` in
+    /// front of block 0).
+    pub fn infer_staged(
+        &self,
+        image: &Tensor,
+        scratch: &mut InferScratch,
+        mut stage: impl FnMut(usize, &EncoderBlock, &mut Tensor, Option<&AttentionMaps>),
+    ) -> (Tensor, Vec<usize>) {
         let mut tokens = self.patch_embed.infer(image);
-        for block in &self.blocks {
-            let (out, _) = block.infer_with(&tokens, None, scratch);
+        let mut tokens_per_block = Vec::with_capacity(self.blocks.len());
+        let mut maps = None;
+        for (bi, block) in self.blocks.iter().enumerate() {
+            stage(bi, block, &mut tokens, maps.take().as_ref());
+            tokens_per_block.push(tokens.dim(0));
+            let (out, block_maps) = block.infer_with(&tokens, None, scratch);
             tokens = out;
+            maps = Some(block_maps);
         }
-        self.classify_tokens_infer(&tokens)
+        (self.classify_tokens_infer(&tokens), tokens_per_block)
     }
 
     /// Runs a batch of images through one shared scratch workspace,
@@ -189,9 +214,20 @@ impl VisionTransformer {
     /// Total multiply–accumulate count for one image with the full token
     /// count in every block.
     pub fn macs(&self) -> u64 {
-        let n = self.config.num_tokens();
+        self.macs_for_tokens(&vec![self.config.num_tokens(); self.blocks.len()])
+    }
+
+    /// Multiply–accumulate count of the patch embedding, the blocks at the
+    /// given per-block token counts, and the head — the backbone's share of
+    /// a pruned model's cost (stage overheads come on top).
+    pub fn macs_for_tokens(&self, tokens_per_block: &[usize]) -> u64 {
         self.patch_embed.macs()
-            + self.blocks.iter().map(|b| b.macs(n)).sum::<u64>()
+            + self
+                .blocks
+                .iter()
+                .zip(tokens_per_block)
+                .map(|(b, &n)| b.macs(n))
+                .sum::<u64>()
             + self.head.macs(1)
     }
 }
