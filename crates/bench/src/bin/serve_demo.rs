@@ -428,10 +428,9 @@ fn assert_snapshot_matches_report(snapshot: &Snapshot, report: &heatvit_serve::S
     for class in [Priority::High, Priority::Normal] {
         let labels = &[("class", class.label())][..];
         let c = report.class(class);
-        let (_, p95_ms, _) = snapshot
-            .series(names::CLASS_LATENCY, labels)
-            .map(|s| s.percentiles_ms())
-            .unwrap_or((0.0, 0.0, 0.0));
+        let p95_ms = snapshot
+            .histogram(names::CLASS_LATENCY, labels)
+            .map_or(0.0, |h| h.quantile_us(0.95) as f64 / 1e3);
         assert_eq!(
             p95_ms.to_bits(),
             c.p95_ms().to_bits(),

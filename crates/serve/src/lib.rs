@@ -27,7 +27,8 @@
 //! * telemetry — every observation lands lock-free in a
 //!   `heatvit::telemetry` [`Registry`](heatvit::telemetry::Registry)
 //!   ([`metrics::names`] is the stable name contract) with per-request
-//!   spans in a bounded trace ring; [`ServeReport`] — p50/p95/max latency,
+//!   spans in a bounded trace ring; [`ServeReport`] — p50/p95/max latency
+//!   (p50/p95 at most a factor 1 + 2⁻⁷ above the exact nearest rank),
 //!   batch-size histogram, per-policy flush counts ([`FlushCounts`]),
 //!   deadline misses, throughput, per-SLO-class rows ([`ClassReport`]),
 //!   per-lane served/stolen counts and queue-depth high-water marks, and
@@ -88,9 +89,7 @@ mod report;
 mod request;
 mod server;
 
-#[doc(hidden)]
-pub use report::Stats;
-pub use report::{ClassReport, FlushCounts, FlushReason, ServeReport, MAX_LATENCY_SAMPLES};
+pub use report::{ClassReport, FlushCounts, FlushReason, ServeReport};
 pub use request::{InferRequest, InferResponse, Priority, SubmitError, Ticket};
 pub use server::{
     LaneAssignment, LaneCount, ServeConfig, Server, SloPolicy, StealPolicy, MAX_AUTO_LANES,

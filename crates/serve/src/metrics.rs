@@ -1,13 +1,11 @@
-//! The server's telemetry surface: every counter, gauge, histogram, and
-//! latency series a [`crate::Server`] records, registered up front in one
+//! The server's telemetry surface: every counter, gauge, and latency
+//! histogram a [`crate::Server`] records, registered up front in one
 //! [`Registry`], plus the bounded [`SpanRecorder`] request trace.
 //!
 //! [`crate::ServeReport`] is a *view* materialized from a registry
 //! [`Snapshot`](heatvit::telemetry::Snapshot) — the metrics here are the
-//! single source of truth; no separate locked accumulator exists on the
-//! request path. Hot-path recording is lock-free (atomic handles), with
-//! two deliberate exceptions documented in `heatvit-telemetry`: the exact
-//! latency [`Series`] reservoirs and the trace ring take a short mutex.
+//! single source of truth. Hot-path recording is lock-free (atomic
+//! handles); only the trace ring takes a short mutex.
 //!
 //! Every metric family is pre-registered at server start (all flush
 //! reasons, both SLO classes, every batch size up to `max_batch`, every
@@ -18,17 +16,11 @@
 use crate::report::FlushReason;
 use crate::request::Priority;
 use heatvit::telemetry::{
-    BatchSpan, Counter, FloatCounter, Gauge, Histogram, Registry, RequestSpan, Series, ShedSpan,
+    BatchSpan, Counter, FloatCounter, Gauge, Histogram, Registry, RequestSpan, ShedSpan,
     SpanRecorder, TraceEvent,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Bucket upper bounds (µs) of the serve latency histograms — spanning
-/// sub-millisecond trickle service to the 1 s pathological tail.
-pub const LATENCY_BUCKETS_US: [u64; 12] = [
-    100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000,
-];
 
 /// Registered metric names — the stable observability contract. CI greps
 /// the Prometheus exposition for several of these; renaming one is a
@@ -45,10 +37,8 @@ pub mod names {
     /// Counter family by `decision` (`accept`/`degrade`/`shed`): admission
     /// outcomes.
     pub const ADMISSION: &str = "heatvit_serve_admission_total";
-    /// Series: request latency reservoir, µs (exact percentiles).
+    /// Histogram: request latency, µs.
     pub const LATENCY: &str = "heatvit_serve_latency_us";
-    /// Histogram: request latency, µs (fixed buckets).
-    pub const LATENCY_HIST: &str = "heatvit_serve_latency_us_hist";
     /// Counter family by `class`: requests resolved per SLO class.
     pub const CLASS_COMPLETED: &str = "heatvit_serve_class_completed_total";
     /// Counter family by `class`: deadline misses per SLO class.
@@ -59,10 +49,8 @@ pub mod names {
     pub const CLASS_DEGRADED: &str = "heatvit_serve_class_degraded_total";
     /// Float counter family by `class`: summed keep-fraction accuracy proxy.
     pub const CLASS_KEEP_SUM: &str = "heatvit_serve_class_keep_sum";
-    /// Series family by `class`: per-class latency reservoir, µs.
+    /// Histogram family by `class`: request latency per SLO class, µs.
     pub const CLASS_LATENCY: &str = "heatvit_serve_class_latency_us";
-    /// Histogram family by `class`: per-class latency, µs (fixed buckets).
-    pub const CLASS_LATENCY_HIST: &str = "heatvit_serve_class_latency_us_hist";
     /// Counter family by `level` (+ `variant`): requests served per level.
     pub const LEVEL_SERVED: &str = "heatvit_serve_level_served_total";
     /// Counter family by `lane`: requests executed per lane.
@@ -97,25 +85,23 @@ pub(crate) struct LaneMetrics {
     steals: Arc<Counter>,
 }
 
-/// One SLO class's counters and latency reservoirs.
+/// One SLO class's counters and latency histogram.
 struct ClassMetrics {
     completed: Arc<Counter>,
     misses: Arc<Counter>,
     sheds: Arc<Counter>,
     degraded: Arc<Counter>,
     keep_sum: Arc<FloatCounter>,
-    latency: Arc<Series>,
-    latency_hist: Arc<Histogram>,
+    latency: Arc<Histogram>,
 }
 
 /// Every handle a [`crate::Server`] records into, plus the trace recorder.
 ///
-/// Construction registers the full metric surface; recording methods
-/// mirror the legacy `Stats` accumulator operation-for-operation (same µs
-/// quantization, same f64 accumulation order per lane) so a report
-/// materialized from a snapshot is bitwise identical to one replayed
-/// through the legacy path — `crates/serve/tests/telemetry_parity.rs`
-/// asserts exactly that.
+/// Construction registers the full metric surface. Recording quantizes
+/// durations to whole µs before they reach a metric and writes the same
+/// values into the trace spans, so a fold over the trace reproduces every
+/// count and sum of a snapshot bitwise —
+/// `crates/serve/tests/telemetry_parity.rs` asserts exactly that.
 pub(crate) struct ServeMetrics {
     registry: Arc<Registry>,
     recorder: Arc<SpanRecorder>,
@@ -123,8 +109,7 @@ pub(crate) struct ServeMetrics {
     epoch: Instant,
     completed: Arc<Counter>,
     misses: Arc<Counter>,
-    latency: Arc<Series>,
-    latency_hist: Arc<Histogram>,
+    latency: Arc<Histogram>,
     /// Indexed by [`FlushReason`] declaration order (see
     /// [`FlushReason::ALL`]).
     flush: Vec<Arc<Counter>>,
@@ -202,16 +187,10 @@ impl ServeMetrics {
                     labels,
                     "Summed keep-fraction accuracy proxy of completed requests.",
                 ),
-                latency: registry.series(
+                latency: registry.histogram(
                     names::CLASS_LATENCY,
                     labels,
-                    "Request latency reservoir (µs), by SLO class.",
-                ),
-                latency_hist: registry.histogram(
-                    names::CLASS_LATENCY_HIST,
-                    labels,
                     "Request latency (µs), by SLO class.",
-                    &LATENCY_BUCKETS_US,
                 ),
             }
         };
@@ -268,13 +247,7 @@ impl ServeMetrics {
                 &[],
                 "Responses resolved after their deadline.",
             ),
-            latency: registry.series(names::LATENCY, &[], "Request latency reservoir (µs)."),
-            latency_hist: registry.histogram(
-                names::LATENCY_HIST,
-                &[],
-                "Request latency (µs).",
-                &LATENCY_BUCKETS_US,
-            ),
+            latency: registry.histogram(names::LATENCY, &[], "Request latency (µs)."),
             flush,
             batch_sizes,
             admission_accept: registry.counter(
@@ -362,11 +335,10 @@ impl ServeMetrics {
         }));
     }
 
-    /// One flushed batch. Mirrors the legacy `Stats::record_batch` +
-    /// `record_prediction_error` pair: the error term is computed from
-    /// µs-quantized durations so a trace replay reproduces the sum
-    /// bitwise (sub-µs measurements are skipped, exactly as a µs-quantized
-    /// legacy record would).
+    /// One flushed batch. A `scored` batch adds its relative prediction
+    /// error `|predicted − measured| / measured`, computed from the
+    /// µs-quantized durations its span carries (a batch measured under
+    /// 1 µs is skipped), so a trace fold reproduces the sum bitwise.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn record_batch(
         &self,
@@ -411,9 +383,7 @@ impl ServeMetrics {
         }));
     }
 
-    /// One resolved request. Mirrors the legacy `Stats::record_response`
-    /// operation order (class keep-sum and latency reservoirs see values
-    /// in the same sequence a single-lane legacy accumulator would).
+    /// One resolved request.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn record_response(
         &self,
@@ -428,15 +398,13 @@ impl ServeMetrics {
     ) {
         let total_us = latency.as_micros() as u64;
         self.completed.inc();
-        self.latency.record(total_us);
-        self.latency_hist.observe(total_us);
+        self.latency.observe(total_us);
         if missed {
             self.misses.inc();
         }
         let c = &self.classes[class.index()];
         c.completed.inc();
-        c.latency.record(total_us);
-        c.latency_hist.observe(total_us);
+        c.latency.observe(total_us);
         c.keep_sum.add(keep);
         if missed {
             c.misses.inc();

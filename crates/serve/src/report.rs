@@ -3,18 +3,10 @@
 //! per-SLO-class and per-lane breakdowns, and predicted-vs-measured
 //! latency error) — materialized as a *view* over a telemetry registry
 //! [`Snapshot`] via [`ServeReport::from_snapshot`].
-//!
-//! The legacy [`Stats`] accumulator that used to sit behind a mutex on the
-//! request path survives here as the *replay reference*: it is no longer
-//! on any live path, but `crates/serve/tests/telemetry_parity.rs` replays
-//! a recorded request trace through it and asserts the snapshot-derived
-//! report is bitwise identical (wall-clock fields excluded).
 
 use crate::metrics::names;
 use crate::request::Priority;
 use heatvit::telemetry::{MetricValue, Snapshot};
-use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
 
 /// Why a lane flushed a pending batch into the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,333 +75,33 @@ impl FlushReason {
     }
 
     /// The reason carrying `label`, if it names one (inverse of
-    /// [`FlushReason::label`] — how a trace replay maps span tags back).
+    /// [`FlushReason::label`] — how a trace fold maps span tags back).
     pub fn from_label(label: &str) -> Option<FlushReason> {
         FlushReason::ALL.into_iter().find(|r| r.label() == label)
     }
 }
 
 impl FlushCounts {
-    pub(crate) fn bump(&mut self, reason: FlushReason) {
-        match reason {
-            FlushReason::MaxBatch => self.max_batch += 1,
-            FlushReason::Deadline => self.deadline += 1,
-            FlushReason::Idle => self.idle += 1,
-            FlushReason::Shutdown => self.shutdown += 1,
-            FlushReason::Steal => self.steal += 1,
-        }
-    }
-
     /// Total batches flushed.
     pub fn total(&self) -> u64 {
         self.max_batch + self.deadline + self.idle + self.shutdown + self.steal
     }
 }
 
-/// Hard cap on retained latency samples: when the buffer fills, it is
-/// decimated (every other sample kept) and the sampling stride doubles, so
-/// memory stays bounded on a long-running server while p50/p95 remain
-/// representative. The worst case is exact for the first 64k requests and
-/// a deterministic 1-in-2ᵏ sample thereafter; the maximum is tracked
-/// exactly regardless.
-pub const MAX_LATENCY_SAMPLES: usize = 1 << 16;
-
-/// Bounded latency reservoir: exact up to [`MAX_LATENCY_SAMPLES`], then a
-/// deterministic even-spread decimation (see the constant's docs). The
-/// maximum survives decimation exactly.
-#[derive(Debug)]
-struct LatencySamples {
-    samples_us: Vec<u64>,
-    /// Record every `stride`-th observation (1 until the first decimation,
-    /// then doubling).
-    stride: u64,
-    /// Observations seen, driving the stride phase.
-    seen: u64,
-    /// Exact worst latency.
-    max_us: u64,
-}
-
-impl Default for LatencySamples {
-    fn default() -> Self {
-        Self {
-            samples_us: Vec::new(),
-            stride: 1,
-            seen: 0,
-            max_us: 0,
-        }
-    }
-}
-
-impl LatencySamples {
-    fn record(&mut self, latency: Duration) {
-        let us = latency.as_micros() as u64;
-        self.max_us = self.max_us.max(us);
-        if self.seen.is_multiple_of(self.stride) {
-            self.samples_us.push(us);
-            if self.samples_us.len() >= MAX_LATENCY_SAMPLES {
-                // Decimate: keep every other retained sample and halve the
-                // future sampling rate. Deterministic, bounded, and the
-                // kept samples stay an even spread over the whole history.
-                let mut index = 0usize;
-                self.samples_us.retain(|_| {
-                    let keep = index.is_multiple_of(2);
-                    index += 1;
-                    keep
-                });
-                self.stride *= 2;
-            }
-        }
-        self.seen += 1;
-    }
-
-    /// `(p50_ms, p95_ms, max_ms)` of everything recorded.
-    fn percentiles_ms(&self) -> (f64, f64, f64) {
-        let mut sorted = self.samples_us.clone();
-        sorted.sort_unstable();
-        (
-            percentile_us(&sorted, 0.50) as f64 / 1e3,
-            percentile_us(&sorted, 0.95) as f64 / 1e3,
-            self.max_us as f64 / 1e3,
-        )
-    }
-}
-
-/// Per-SLO-class accumulator behind [`ClassReport`].
-#[derive(Debug, Default)]
-pub(crate) struct ClassStats {
-    latencies: LatencySamples,
+/// Per-SLO-class slice of a [`ServeReport`], read through its accessors.
+#[derive(Debug, Clone, Copy)]
+pub struct ClassReport {
+    class: Priority,
     completed: u64,
     deadline_misses: u64,
     sheds: u64,
     degraded: u64,
-    /// Sum of the accuracy proxy (serving level's keep fraction) over
-    /// completed requests.
-    keep_sum: f64,
+    p50_ms: f64,
+    p95_ms: f64,
+    max_ms: f64,
+    mean_keep: f64,
 }
 
-/// The legacy locked accumulator that used to sit behind every
-/// [`ServeReport`] — retained (off every live path) as the replay
-/// reference for the telemetry redesign: the parity test feeds a recorded
-/// request trace through it and asserts the snapshot-derived report
-/// matches bitwise. Not part of the supported API surface.
-#[doc(hidden)]
-#[derive(Debug)]
-pub struct Stats {
-    latencies: LatencySamples,
-    completed: u64,
-    deadline_misses: u64,
-    batch_sizes: BTreeMap<usize, u64>,
-    flushes: FlushCounts,
-    first_start: Option<Instant>,
-    last_done: Option<Instant>,
-    /// Indexed by [`Priority::index`].
-    classes: [ClassStats; 2],
-    /// Requests served per service level (index 0 = most accurate).
-    level_served: Vec<u64>,
-    /// Requests served per executing lane.
-    lane_served: Vec<u64>,
-    /// Requests each lane executed out of batches it stole.
-    lane_steals: Vec<u64>,
-    /// Sum of per-batch `|predicted − measured| / measured` execution-time
-    /// error over `error_batches` warmed-up batches.
-    error_sum: f64,
-    error_batches: u64,
-}
-
-impl Stats {
-    pub fn new(levels: usize, lanes: usize) -> Self {
-        Self {
-            latencies: LatencySamples::default(),
-            completed: 0,
-            deadline_misses: 0,
-            batch_sizes: BTreeMap::new(),
-            flushes: FlushCounts::default(),
-            first_start: None,
-            last_done: None,
-            classes: [ClassStats::default(), ClassStats::default()],
-            level_served: vec![0; levels],
-            lane_served: vec![0; lanes],
-            lane_steals: vec![0; lanes],
-            error_sum: 0.0,
-            error_batches: 0,
-        }
-    }
-
-    pub fn record_batch(&mut self, size: usize, reason: FlushReason, done: Instant, lane: usize) {
-        self.flushes.bump(reason);
-        *self.batch_sizes.entry(size).or_insert(0) += 1;
-        if reason == FlushReason::Steal {
-            self.lane_steals[lane] += size as u64;
-        }
-        if self.first_start.is_none() {
-            self.first_start = Some(done);
-        }
-        self.last_done = Some(done);
-    }
-
-    pub fn record_first_submit(&mut self, at: Instant) {
-        if self.first_start.is_none() {
-            self.first_start = Some(at);
-        }
-    }
-
-    pub fn record_response(
-        &mut self,
-        latency: Duration,
-        missed: bool,
-        class: Priority,
-        level: usize,
-        keep: f64,
-        lane: usize,
-    ) {
-        self.completed += 1;
-        self.latencies.record(latency);
-        if missed {
-            self.deadline_misses += 1;
-        }
-        let c = &mut self.classes[class.index()];
-        c.completed += 1;
-        c.latencies.record(latency);
-        c.keep_sum += keep;
-        if missed {
-            c.deadline_misses += 1;
-        }
-        if level > 0 {
-            c.degraded += 1;
-        }
-        self.level_served[level] += 1;
-        self.lane_served[lane] += 1;
-    }
-
-    pub fn record_shed(&mut self, class: Priority) {
-        self.classes[class.index()].sheds += 1;
-    }
-
-    /// One warmed-up batch execution's relative prediction error
-    /// (`|predicted − measured| / measured`).
-    pub fn record_prediction_error(&mut self, predicted: Duration, measured: Duration) {
-        if measured.is_zero() {
-            return;
-        }
-        let rel = (predicted.as_secs_f64() - measured.as_secs_f64()).abs() / measured.as_secs_f64();
-        self.error_sum += rel;
-        self.error_batches += 1;
-    }
-
-    #[allow(deprecated)]
-    pub fn report(&self) -> ServeReport {
-        let completed = self.completed;
-        let window = match (self.first_start, self.last_done) {
-            (Some(start), Some(done)) => done.duration_since(start),
-            _ => Duration::ZERO,
-        };
-        let total_in_batches: u64 = self.batch_sizes.iter().map(|(s, n)| (*s as u64) * n).sum();
-        let (p50_ms, p95_ms, max_ms) = self.latencies.percentiles_ms();
-        let classes = [Priority::High, Priority::Normal].map(|class| {
-            let c = &self.classes[class.index()];
-            let (p50_ms, p95_ms, max_ms) = c.latencies.percentiles_ms();
-            ClassReport {
-                class,
-                completed: c.completed,
-                deadline_misses: c.deadline_misses,
-                sheds: c.sheds,
-                degraded: c.degraded,
-                p50_ms,
-                p95_ms,
-                max_ms,
-                mean_keep: if c.completed == 0 {
-                    0.0
-                } else {
-                    c.keep_sum / c.completed as f64
-                },
-            }
-        });
-        ServeReport {
-            completed,
-            batches: self.flushes.total(),
-            deadline_misses: self.deadline_misses,
-            flushes: self.flushes,
-            batch_histogram: self.batch_sizes.iter().map(|(s, n)| (*s, *n)).collect(),
-            mean_batch: if self.flushes.total() == 0 {
-                0.0
-            } else {
-                total_in_batches as f64 / self.flushes.total() as f64
-            },
-            p50_ms,
-            p95_ms,
-            max_ms,
-            throughput: if window.is_zero() {
-                0.0
-            } else {
-                completed as f64 / window.as_secs_f64()
-            },
-            classes,
-            level_served: self.level_served.clone(),
-            lane_served: self.lane_served.clone(),
-            lane_steals: self.lane_steals.clone(),
-            // The server injects the real high-water marks (they live in
-            // per-lane atomics, not under the stats lock).
-            lane_queue_hwm: vec![0; self.lane_served.len()],
-            predicted_error_pct: if self.error_batches == 0 {
-                f64::NAN
-            } else {
-                100.0 * self.error_sum / self.error_batches as f64
-            },
-        }
-    }
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice of microsecond
-/// latencies (0 for an empty slice).
-fn percentile_us(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Per-SLO-class slice of a [`ServeReport`].
-///
-/// Reports are views materialized from a telemetry snapshot; read through
-/// the accessor methods. The public fields remain as deprecated
-/// compatibility shims.
-#[derive(Debug, Clone, Copy)]
-pub struct ClassReport {
-    /// The SLO class this row describes.
-    #[deprecated(note = "use `ClassReport::class()`")]
-    pub class: Priority,
-    /// Requests of this class resolved.
-    #[deprecated(note = "use `ClassReport::completed()`")]
-    pub completed: u64,
-    /// Responses that resolved after their deadline.
-    #[deprecated(note = "use `ClassReport::deadline_misses()`")]
-    pub deadline_misses: u64,
-    /// Submissions refused with [`crate::SubmitError::Shed`] (admission
-    /// predicted a miss at every service level).
-    #[deprecated(note = "use `ClassReport::sheds()`")]
-    pub sheds: u64,
-    /// Requests served at a degraded level (level index > 0: a cheaper
-    /// keep-rate schedule or backend than the class's best).
-    #[deprecated(note = "use `ClassReport::degraded()`")]
-    pub degraded: u64,
-    /// Median latency, milliseconds.
-    #[deprecated(note = "use `ClassReport::p50_ms()`")]
-    pub p50_ms: f64,
-    /// 95th-percentile latency, milliseconds.
-    #[deprecated(note = "use `ClassReport::p95_ms()`")]
-    pub p95_ms: f64,
-    /// Worst latency, milliseconds (exact).
-    #[deprecated(note = "use `ClassReport::max_ms()`")]
-    pub max_ms: f64,
-    /// Mean accuracy proxy of the levels that served this class: the mean
-    /// fraction of tokens kept relative to dense (1.0 = full accuracy
-    /// budget; lower = degraded under load).
-    #[deprecated(note = "use `ClassReport::mean_keep()`")]
-    pub mean_keep: f64,
-}
-
-#[allow(deprecated)]
 impl ClassReport {
     /// The SLO class this row describes.
     pub fn class(&self) -> Priority {
@@ -432,17 +124,19 @@ impl ClassReport {
         self.sheds
     }
 
-    /// Requests served at a degraded level (level index > 0).
+    /// Requests served at a degraded level (level index > 0: a cheaper
+    /// keep-rate schedule or backend than the class's best).
     pub fn degraded(&self) -> u64 {
         self.degraded
     }
 
-    /// Median latency, milliseconds.
+    /// Median latency, milliseconds (see [`ServeReport::p50_ms`] for the
+    /// error bound).
     pub fn p50_ms(&self) -> f64 {
         self.p50_ms
     }
 
-    /// 95th-percentile latency, milliseconds.
+    /// 95th-percentile latency, milliseconds (same bound as `p50_ms`).
     pub fn p95_ms(&self) -> f64 {
         self.p95_ms
     }
@@ -452,7 +146,9 @@ impl ClassReport {
         self.max_ms
     }
 
-    /// Mean accuracy proxy of the levels that served this class.
+    /// Mean accuracy proxy of the levels that served this class: the mean
+    /// fraction of tokens kept relative to dense (1.0 = full accuracy
+    /// budget; lower = degraded under load).
     pub fn mean_keep(&self) -> f64 {
         self.mean_keep
     }
@@ -468,83 +164,34 @@ impl ClassReport {
     }
 }
 
-/// Aggregate statistics of everything a [`crate::Server`] has served.
-///
-/// A report is a *view* materialized from the server's telemetry registry
-/// ([`ServeReport::from_snapshot`]); read through the accessor methods.
-/// The public fields remain as deprecated compatibility shims for code
-/// written against the pre-telemetry report.
+/// Aggregate statistics of everything a [`crate::Server`] has served: a
+/// *view* materialized from the server's telemetry registry
+/// ([`ServeReport::from_snapshot`]), read through its accessors.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
-    /// Requests resolved.
-    #[deprecated(note = "use `ServeReport::completed()`")]
-    pub completed: u64,
-    /// Batches flushed.
-    #[deprecated(note = "use `ServeReport::batches()`")]
-    pub batches: u64,
-    /// Responses that resolved after their request's deadline.
-    #[deprecated(note = "use `ServeReport::deadline_misses()`")]
-    pub deadline_misses: u64,
-    /// Flush counts per policy.
-    #[deprecated(note = "use `ServeReport::flushes()`")]
-    pub flushes: FlushCounts,
-    /// `(batch size, count)` pairs in ascending batch-size order.
-    #[deprecated(note = "use `ServeReport::batch_histogram()`")]
-    pub batch_histogram: Vec<(usize, u64)>,
-    /// Mean formed-batch size.
-    #[deprecated(note = "use `ServeReport::mean_batch()`")]
-    pub mean_batch: f64,
-    /// Median request latency (submit → response), milliseconds. Exact up
-    /// to [`MAX_LATENCY_SAMPLES`] requests, computed over a deterministic
-    /// even-spread sample beyond that.
-    #[deprecated(note = "use `ServeReport::p50_ms()`")]
-    pub p50_ms: f64,
-    /// 95th-percentile request latency, milliseconds (nearest-rank; same
-    /// sampling bound as `p50_ms`).
-    #[deprecated(note = "use `ServeReport::p95_ms()`")]
-    pub p95_ms: f64,
-    /// Worst request latency, milliseconds (always exact).
-    #[deprecated(note = "use `ServeReport::max_ms()`")]
-    pub max_ms: f64,
-    /// Completed requests per second over the serving window (first
-    /// submission to last resolved batch).
-    #[deprecated(note = "use `ServeReport::throughput()`")]
-    pub throughput: f64,
-    /// Per-SLO-class breakdown, [`Priority::High`] first.
-    #[deprecated(note = "use `ServeReport::classes()` or `ServeReport::class()`")]
-    pub classes: [ClassReport; 2],
-    /// Requests served per service level (index 0 = the most accurate
-    /// level; a single-backend server has one entry).
-    #[deprecated(note = "use `ServeReport::level_served()`")]
-    pub level_served: Vec<u64>,
-    /// Requests served per executing lane (stolen batches count for the
-    /// thief — this is who did the work, `level_served` is what model ran).
-    #[deprecated(note = "use `ServeReport::lane_served()`")]
-    pub lane_served: Vec<u64>,
-    /// Requests each lane executed out of batches it stole from another
-    /// lane's queue (a subset of `lane_served`).
-    #[deprecated(note = "use `ServeReport::lane_steals()`")]
-    pub lane_steals: Vec<u64>,
-    /// Highest queue depth each lane ever reached (its backlog high-water
-    /// mark against [`crate::ServeConfig::queue_capacity`]).
-    #[deprecated(note = "use `ServeReport::lane_queue_hwm()`")]
-    pub lane_queue_hwm: Vec<u64>,
-    /// Mean `|predicted − measured| / measured` batch execution-time error
-    /// of the server's latency model, percent, over warmed-up batches
-    /// (each level's first batch is excluded as model cold start). `NaN`
-    /// until a warmed-up batch completes.
-    #[deprecated(note = "use `ServeReport::predicted_error_pct()`")]
-    pub predicted_error_pct: f64,
+    completed: u64,
+    batches: u64,
+    deadline_misses: u64,
+    flushes: FlushCounts,
+    batch_histogram: Vec<(usize, u64)>,
+    mean_batch: f64,
+    p50_ms: f64,
+    p95_ms: f64,
+    max_ms: f64,
+    throughput: f64,
+    /// Indexed by [`Priority::index`].
+    classes: [ClassReport; 2],
+    level_served: Vec<u64>,
+    lane_served: Vec<u64>,
+    lane_steals: Vec<u64>,
+    lane_queue_hwm: Vec<u64>,
+    predicted_error_pct: f64,
 }
 
-#[allow(deprecated)]
 impl ServeReport {
     /// Materializes a report from a telemetry registry snapshot — the one
     /// way live reports are built. Every column is read back from the
-    /// `heatvit_serve_*` metric families (see [`crate::metrics::names`]);
-    /// the parity test asserts the result is bitwise identical to the
-    /// legacy locked-accumulator path on a replayed request trace
-    /// (wall-clock fields excluded).
+    /// `heatvit_serve_*` metric families (see [`crate::metrics::names`]).
     pub fn from_snapshot(snapshot: &Snapshot) -> Self {
         let counter_family = |name: &str, key: &str| -> Vec<u64> {
             snapshot
@@ -574,9 +221,14 @@ impl ServeReport {
         let total_in_batches: u64 = batch_histogram.iter().map(|(s, n)| (*s as u64) * n).sum();
         let percentiles = |name: &str, labels: &[(&str, &str)]| {
             snapshot
-                .series(name, labels)
-                .map(|s| s.percentiles_ms())
-                .unwrap_or((0.0, 0.0, 0.0))
+                .histogram(name, labels)
+                .map_or((0.0, 0.0, 0.0), |h| {
+                    (
+                        h.quantile_us(0.50) as f64 / 1e3,
+                        h.quantile_us(0.95) as f64 / 1e3,
+                        h.max_us as f64 / 1e3,
+                    )
+                })
         };
         let (p50_ms, p95_ms, max_ms) = percentiles(names::LATENCY, &[]);
         let classes = [Priority::High, Priority::Normal].map(|class| {
@@ -680,12 +332,17 @@ impl ServeReport {
         self.mean_batch
     }
 
-    /// Median request latency (submit → response), milliseconds.
+    /// Median request latency (submit → response), milliseconds:
+    /// nearest-rank over whole-µs latencies, read from a log-linear
+    /// histogram, so it never understates the exact value and overstates
+    /// it by at most a factor `1 + 2^-HISTOGRAM_PRECISION_BITS` (< 0.8 %;
+    /// [`heatvit::telemetry::HISTOGRAM_PRECISION_BITS`]).
     pub fn p50_ms(&self) -> f64 {
         self.p50_ms
     }
 
-    /// 95th-percentile request latency, milliseconds.
+    /// 95th-percentile request latency, milliseconds (same bound as
+    /// [`ServeReport::p50_ms`]).
     pub fn p95_ms(&self) -> f64 {
         self.p95_ms
     }
@@ -695,7 +352,8 @@ impl ServeReport {
         self.max_ms
     }
 
-    /// Completed requests per second over the serving window.
+    /// Completed requests per second over the serving window (first
+    /// submission to last resolved batch).
     pub fn throughput(&self) -> f64 {
         self.throughput
     }
@@ -710,23 +368,28 @@ impl ServeReport {
         &self.level_served
     }
 
-    /// Requests served per executing lane.
+    /// Requests served per executing lane (stolen batches count for the
+    /// thief — this is who did the work, `level_served` is what model ran).
     pub fn lane_served(&self) -> &[u64] {
         &self.lane_served
     }
 
-    /// Requests each lane executed out of stolen batches.
+    /// Requests each lane executed out of batches it stole from another
+    /// lane's queue (a subset of `lane_served`).
     pub fn lane_steals(&self) -> &[u64] {
         &self.lane_steals
     }
 
-    /// Highest queue depth each lane ever reached.
+    /// Highest queue depth each lane ever reached (its backlog high-water
+    /// mark against [`crate::ServeConfig::queue_capacity`]).
     pub fn lane_queue_hwm(&self) -> &[u64] {
         &self.lane_queue_hwm
     }
 
-    /// Mean relative batch execution-time prediction error, percent
-    /// (`NaN` until a warmed-up batch completes).
+    /// Mean `|predicted − measured| / measured` batch execution-time error
+    /// of the server's latency model, percent, over warmed-up batches
+    /// (each level's first batch is excluded as model cold start). `NaN`
+    /// until a warmed-up batch completes.
     pub fn predicted_error_pct(&self) -> f64 {
         self.predicted_error_pct
     }
@@ -742,7 +405,7 @@ impl ServeReport {
 
     /// The [`ClassReport`] of one SLO class.
     pub fn class(&self, class: Priority) -> &ClassReport {
-        &self.classes[if class == Priority::High { 0 } else { 1 }]
+        &self.classes[class.index()]
     }
 
     /// Total submissions refused by predictive admission across classes.
@@ -764,28 +427,97 @@ impl ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::ServeMetrics;
+    use heatvit::telemetry::{Registry, HISTOGRAM_PRECISION_BITS};
+    use std::time::{Duration, Instant};
+
+    /// A metric surface over `levels` levels and `lanes` lanes (batches of
+    /// up to 4).
+    fn serve_metrics(levels: usize, lanes: usize) -> ServeMetrics {
+        let variants: Vec<String> = (0..levels).map(|l| format!("level-{l}")).collect();
+        ServeMetrics::new(Registry::new(), 64, &variants, lanes, 4)
+    }
+
+    fn report(metrics: &ServeMetrics) -> ServeReport {
+        ServeReport::from_snapshot(&metrics.registry().snapshot())
+    }
+
+    /// One unscored flushed batch.
+    fn batch(m: &ServeMetrics, size: usize, reason: FlushReason, done: Instant, lane: usize) {
+        m.record_batch(
+            size,
+            reason,
+            done,
+            lane,
+            0,
+            Duration::ZERO,
+            Duration::ZERO,
+            false,
+        );
+    }
+
+    /// One resolved request of `latency_us`.
+    fn respond(
+        m: &ServeMetrics,
+        latency_us: u64,
+        missed: bool,
+        class: Priority,
+        level: usize,
+        keep: f64,
+        lane: usize,
+    ) {
+        let latency = Duration::from_micros(latency_us);
+        m.record_response(latency, Duration::ZERO, missed, class, level, keep, lane, 1);
+    }
+
+    /// `exact <= reported <= exact * (1 + 2^-HISTOGRAM_PRECISION_BITS)`,
+    /// both in milliseconds of whole µs.
+    #[track_caller]
+    fn assert_within_bound(reported_ms: f64, exact_ms: f64) {
+        let reported = (reported_ms * 1e3).round() as u64;
+        let exact = (exact_ms * 1e3).round() as u64;
+        assert!(
+            exact <= reported && reported - exact <= exact >> HISTOGRAM_PRECISION_BITS,
+            "{reported_ms} ms outside the bound of {exact_ms} ms"
+        );
+    }
 
     #[test]
     fn percentile_is_nearest_rank() {
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_us(&v, 0.50), 50);
-        assert_eq!(percentile_us(&v, 0.95), 95);
-        assert_eq!(percentile_us(&v, 1.0), 100);
-        assert_eq!(percentile_us(&[7], 0.95), 7);
-        assert_eq!(percentile_us(&[], 0.95), 0);
+        let m = serve_metrics(1, 1);
+        for ms in 1..=100 {
+            respond(&m, ms * 1000, false, Priority::Normal, 0, 1.0, 0);
+        }
+        let r = report(&m);
+        assert_within_bound(r.p50_ms(), 50.0);
+        assert_within_bound(r.p95_ms(), 95.0);
+        assert_eq!(r.max_ms(), 100.0);
+        let single = serve_metrics(1, 1);
+        respond(&single, 7000, false, Priority::Normal, 0, 1.0, 0);
+        assert_eq!(report(&single).p95_ms(), 7.0);
+        assert_eq!(report(&serve_metrics(1, 1)).p95_ms(), 0.0);
         // Small-sample nearest rank rounds up: p50 of [1, 2] is rank 1.
-        assert_eq!(percentile_us(&[1, 2], 0.50), 1);
+        let pair = serve_metrics(1, 1);
+        respond(&pair, 1000, false, Priority::Normal, 0, 1.0, 0);
+        respond(&pair, 2000, false, Priority::Normal, 0, 1.0, 0);
+        assert_within_bound(report(&pair).p50_ms(), 1.0);
     }
 
     #[test]
     fn flush_counts_bump_and_total() {
-        let mut counts = FlushCounts::default();
-        counts.bump(FlushReason::MaxBatch);
-        counts.bump(FlushReason::Deadline);
-        counts.bump(FlushReason::Deadline);
-        counts.bump(FlushReason::Idle);
-        counts.bump(FlushReason::Shutdown);
-        counts.bump(FlushReason::Steal);
+        let m = serve_metrics(1, 1);
+        let t0 = Instant::now();
+        for reason in [
+            FlushReason::MaxBatch,
+            FlushReason::Deadline,
+            FlushReason::Deadline,
+            FlushReason::Idle,
+            FlushReason::Shutdown,
+            FlushReason::Steal,
+        ] {
+            batch(&m, 1, reason, t0, 0);
+        }
+        let counts = report(&m).flushes();
         assert_eq!(counts.max_batch, 1);
         assert_eq!(counts.deadline, 2);
         assert_eq!(counts.steal, 1);
@@ -794,62 +526,60 @@ mod tests {
 
     #[test]
     fn latency_storage_stays_bounded_under_sustained_load() {
-        let mut stats = Stats::new(1, 1);
-        let total = MAX_LATENCY_SAMPLES * 4;
-        for i in 0..total {
-            stats.record_response(
-                Duration::from_micros(i as u64 + 1),
-                false,
-                Priority::Normal,
-                0,
-                1.0,
-                0,
-            );
+        let m = serve_metrics(1, 1);
+        let total = 1u64 << 18;
+        for us in 1..=total {
+            respond(&m, us, false, Priority::Normal, 0, 1.0, 0);
         }
-        assert!(stats.latencies.samples_us.len() < MAX_LATENCY_SAMPLES);
-        let report = stats.report();
-        // Counters stay exact through decimation, including the maximum.
-        assert_eq!(report.completed(), total as u64);
+        let snapshot = m.registry().snapshot();
+        // The histogram's state is its fixed bucket array: at most 2^7
+        // buckets per power of two, however many requests arrive.
+        let hist = snapshot.histogram(names::LATENCY, &[]).unwrap();
+        assert!(hist.buckets.len() <= 19 << HISTOGRAM_PRECISION_BITS);
+        let report = ServeReport::from_snapshot(&snapshot);
+        // Counters stay exact, including the maximum.
+        assert_eq!(report.completed(), total);
         assert_eq!(report.max_ms(), total as f64 / 1e3);
-        // Percentiles stay representative of the uniform 1..=total ramp.
-        let mid = total as f64 / 1e3 / 2.0;
-        assert!(
-            (report.p50_ms() - mid).abs() < mid * 0.05,
-            "{}",
-            report.p50_ms()
-        );
+        // Percentiles stay within the bound of the uniform 1..=total ramp.
+        assert_within_bound(report.p50_ms(), (total / 2) as f64 / 1e3);
     }
 
     #[test]
     fn stats_aggregate_into_a_report() {
-        let mut stats = Stats::new(2, 1);
+        let m = serve_metrics(2, 1);
         let t0 = Instant::now();
-        stats.record_first_submit(t0);
-        stats.record_batch(2, FlushReason::MaxBatch, t0 + Duration::from_millis(10), 0);
-        stats.record_response(Duration::from_millis(4), false, Priority::High, 0, 1.0, 0);
-        stats.record_response(Duration::from_millis(8), true, Priority::Normal, 1, 0.7, 0);
-        stats.record_batch(1, FlushReason::Idle, t0 + Duration::from_millis(20), 0);
-        stats.record_response(Duration::from_millis(2), false, Priority::Normal, 0, 1.0, 0);
-        let report = stats.report();
+        m.record_first_submit(t0);
+        batch(
+            &m,
+            2,
+            FlushReason::MaxBatch,
+            t0 + Duration::from_millis(10),
+            0,
+        );
+        respond(&m, 4000, false, Priority::High, 0, 1.0, 0);
+        respond(&m, 8000, true, Priority::Normal, 1, 0.7, 0);
+        batch(&m, 1, FlushReason::Idle, t0 + Duration::from_millis(20), 0);
+        respond(&m, 2000, false, Priority::Normal, 0, 1.0, 0);
+        let report = report(&m);
         assert_eq!(report.completed(), 3);
         assert_eq!(report.batches(), 2);
         assert_eq!(report.deadline_misses(), 1);
         assert!((report.miss_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(report.batch_histogram(), vec![(1, 1), (2, 1)]);
         assert!((report.mean_batch() - 1.5).abs() < 1e-12);
-        assert_eq!(report.p50_ms(), 4.0);
+        assert_within_bound(report.p50_ms(), 4.0);
         assert_eq!(report.max_ms(), 8.0);
         assert!(report.throughput() > 0.0);
     }
 
     #[test]
     fn per_class_rows_split_correctly() {
-        let mut stats = Stats::new(2, 1);
-        stats.record_response(Duration::from_millis(1), false, Priority::High, 0, 1.0, 0);
-        stats.record_response(Duration::from_millis(9), true, Priority::Normal, 1, 0.6, 0);
-        stats.record_response(Duration::from_millis(3), false, Priority::Normal, 1, 0.8, 0);
-        stats.record_shed(Priority::Normal);
-        let report = stats.report();
+        let m = serve_metrics(2, 1);
+        respond(&m, 1000, false, Priority::High, 0, 1.0, 0);
+        respond(&m, 9000, true, Priority::Normal, 1, 0.6, 0);
+        respond(&m, 3000, false, Priority::Normal, 1, 0.8, 0);
+        m.record_shed(Priority::Normal, Duration::from_millis(50));
+        let report = report(&m);
         let high = report.class(Priority::High);
         assert_eq!(
             (
@@ -879,29 +609,39 @@ mod tests {
 
     #[test]
     fn prediction_error_averages_over_batches() {
-        let mut stats = Stats::new(1, 1);
-        assert!(stats.report().predicted_error_pct().is_nan());
-        stats.record_prediction_error(Duration::from_millis(11), Duration::from_millis(10));
-        stats.record_prediction_error(Duration::from_millis(9), Duration::from_millis(10));
-        let report = stats.report();
+        let m = serve_metrics(1, 1);
+        assert!(report(&m).predicted_error_pct().is_nan());
+        let t0 = Instant::now();
+        for predicted_ms in [11, 9] {
+            let predicted = Duration::from_millis(predicted_ms);
+            let measured = Duration::from_millis(10);
+            m.record_batch(1, FlushReason::Idle, t0, 0, 0, predicted, measured, true);
+        }
+        let report = report(&m);
         assert!((report.predicted_error_pct() - 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn lane_rows_split_served_and_stolen_work() {
-        let mut stats = Stats::new(1, 2);
+        let m = serve_metrics(1, 2);
         let t0 = Instant::now();
         // Lane 0 forms and executes a full batch of 3...
-        stats.record_batch(3, FlushReason::MaxBatch, t0 + Duration::from_millis(1), 0);
+        batch(
+            &m,
+            3,
+            FlushReason::MaxBatch,
+            t0 + Duration::from_millis(1),
+            0,
+        );
         for _ in 0..3 {
-            stats.record_response(Duration::from_millis(1), false, Priority::Normal, 0, 1.0, 0);
+            respond(&m, 1000, false, Priority::Normal, 0, 1.0, 0);
         }
         // ...and lane 1 steals and executes a batch of 2 off lane 0's queue.
-        stats.record_batch(2, FlushReason::Steal, t0 + Duration::from_millis(2), 1);
+        batch(&m, 2, FlushReason::Steal, t0 + Duration::from_millis(2), 1);
         for _ in 0..2 {
-            stats.record_response(Duration::from_millis(1), false, Priority::Normal, 0, 1.0, 1);
+            respond(&m, 1000, false, Priority::Normal, 0, 1.0, 1);
         }
-        let report = stats.report();
+        let report = report(&m);
         assert_eq!(report.lanes(), 2);
         assert_eq!(report.lane_served(), vec![3, 2]);
         assert_eq!(report.lane_steals(), vec![0, 2]);

@@ -209,6 +209,9 @@ pub enum SubmitError {
         /// The `[channels, height, width]` the served model expects.
         expected: [usize; 3],
     },
+    /// The image holds a NaN or infinite pixel — refused at submission so
+    /// it is never served as non-finite logits.
+    NonFiniteImage(InferRequest),
     /// Predictive admission refused the request: the latency model
     /// predicted a deadline miss at *every* service level, including the
     /// cheapest ([`crate::SloPolicy::shed_normal`]; never raised for
@@ -234,6 +237,7 @@ impl std::fmt::Display for SubmitError {
                 "image shape {:?} does not match the served model's expected {expected:?}",
                 request.image.dims()
             ),
+            SubmitError::NonFiniteImage(_) => f.write_str("image holds NaN or infinite pixels"),
             SubmitError::Shed { predicted, .. } => write!(
                 f,
                 "admission predicts a deadline miss at every service level \

@@ -629,13 +629,17 @@ impl<M: InferenceModel + 'static> Server<M> {
 
     fn enqueue(&self, request: InferRequest, block: bool) -> Result<Ticket, SubmitError> {
         let shared = &*self.shared;
-        // Shape-check before accepting: a malformed image must be refused
+        // Validate before accepting: a malformed image must be refused
         // here, at the submitter, not panic later inside a lane thread
-        // (which would strand every in-flight ticket).
+        // (which would strand every in-flight ticket) or come back as
+        // non-finite logits.
         let config = shared.levels[0].engine.model().config();
         let expected = [config.in_channels, config.image_size, config.image_size];
         if request.image.dims() != expected {
             return Err(SubmitError::BadImage { request, expected });
+        }
+        if request.image.has_non_finite() {
+            return Err(SubmitError::NonFiniteImage(request));
         }
         let now = Instant::now();
         // Level choice reads only the lock-free ledgers, so it runs before

@@ -189,6 +189,25 @@ fn malformed_images_are_refused_at_submission_not_in_the_batcher() {
 }
 
 #[test]
+fn non_finite_images_are_refused_at_submission() {
+    let server = Server::start(model(19), ServeConfig::default());
+    let mut nan = images(20, 1, 16).remove(0);
+    nan.data_mut()[5] = f32::NAN;
+    match server.try_submit(request(&nan, FAR_FUTURE)) {
+        Err(SubmitError::NonFiniteImage(returned)) => {
+            assert!(returned.image.data()[5].is_nan(), "request not returned");
+            assert_eq!(returned.image.data()[..5], nan.data()[..5]);
+        }
+        other => panic!("expected NonFiniteImage, got {other:?}"),
+    }
+    assert!(matches!(
+        server.submit(request(&nan, FAR_FUTURE)),
+        Err(SubmitError::NonFiniteImage(_))
+    ));
+    assert_eq!(server.shutdown().completed(), 0);
+}
+
+#[test]
 fn submissions_after_close_are_refused_with_the_request_returned() {
     let server = Server::start(model(9), ServeConfig::default());
     server.close();

@@ -10,13 +10,12 @@ fn type_of(value: &MetricValue) -> &'static str {
     match value {
         MetricValue::Counter(_) | MetricValue::FloatCounter(_) => "counter",
         MetricValue::Gauge(_) | MetricValue::FloatGauge(_) => "gauge",
-        MetricValue::Histogram(_) => "histogram",
-        MetricValue::Series(_) => "summary",
+        MetricValue::Histogram(_) => "summary",
     }
 }
 
 /// `{k="v",k2="v2"}` (empty string when unlabeled); `extra` appends one
-/// more pair (the `le`/`quantile` slot).
+/// more pair (the `quantile` slot).
 fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
     let mut pairs: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
     if let Some((k, v)) = extra {
@@ -44,9 +43,8 @@ fn prom_f64(v: f64) -> String {
 /// Renders a snapshot as Prometheus-style text exposition: one
 /// `# HELP`/`# TYPE` header per metric name (first-seen help text wins for
 /// a labeled family), then one sample line per metric. Histograms emit
-/// cumulative `_bucket{le=...}` lines plus `_sum`/`_count`; series emit
 /// summary `{quantile=...}` lines (0.5, 0.95, and 1 — the exact maximum)
-/// plus `_count` (total observations, exact through decimation).
+/// plus `_sum`/`_count`.
 pub fn render_prometheus(snapshot: &Snapshot) -> String {
     let mut out = String::new();
     let mut seen: Vec<&str> = Vec::new();
@@ -73,47 +71,23 @@ pub fn render_prometheus(snapshot: &Snapshot) -> String {
                 );
             }
             MetricValue::Histogram(h) => {
-                let mut cumulative = 0u64;
-                for (index, count) in h.buckets.iter().enumerate() {
-                    cumulative += count;
-                    let le = if index < h.boundaries_us.len() {
-                        h.boundaries_us[index].to_string()
-                    } else {
-                        "+Inf".to_string()
-                    };
-                    let _ = writeln!(
-                        out,
-                        "{name}_bucket{} {cumulative}",
-                        label_block(&metric.labels, Some(("le", &le)))
-                    );
-                }
-                let labels = label_block(&metric.labels, None);
-                let _ = writeln!(out, "{name}_sum{labels} {}", h.sum_us);
-                let _ = writeln!(out, "{name}_count{labels} {}", h.count);
-            }
-            MetricValue::Series(s) => {
-                let mut sorted = s.samples_us.clone();
-                sorted.sort_unstable();
                 for (q, label) in [(0.50, "0.5"), (0.95, "0.95")] {
                     let _ = writeln!(
                         out,
                         "{name}{} {}",
                         label_block(&metric.labels, Some(("quantile", label))),
-                        crate::metrics::nearest_rank_us(&sorted, q)
+                        h.quantile_us(q)
                     );
                 }
                 let _ = writeln!(
                     out,
                     "{name}{} {}",
                     label_block(&metric.labels, Some(("quantile", "1"))),
-                    s.max_us
+                    h.max_us
                 );
-                let _ = writeln!(
-                    out,
-                    "{name}_count{} {}",
-                    label_block(&metric.labels, None),
-                    s.seen
-                );
+                let labels = label_block(&metric.labels, None);
+                let _ = writeln!(out, "{name}_sum{labels} {}", h.sum_us);
+                let _ = writeln!(out, "{name}_count{labels} {}", h.count);
             }
         }
     }
@@ -130,10 +104,8 @@ fn json_labels(metric: &MetricSnapshot) -> String {
 }
 
 /// Renders a snapshot as a JSON array of metric objects (`name`, `labels`,
-/// `type`, and a type-appropriate `value`): histograms carry bucket
-/// boundaries/counts plus `count`/`sum_us`/`max_us`; series are summarized
-/// to `p50_us`/`p95_us`/`max_us`/`count` (the reservoir itself stays
-/// internal).
+/// `type`, and a type-appropriate `value`): histograms are summarized to
+/// `p50_us`/`p95_us`/`max_us`/`count`/`sum_us` (the buckets stay internal).
 pub fn render_json(snapshot: &Snapshot) -> String {
     array(snapshot.metrics.iter().map(|metric| {
         let base = JsonObject::new()
@@ -148,46 +120,13 @@ pub fn render_json(snapshot: &Snapshot) -> String {
             MetricValue::Histogram(h) => base.raw(
                 "value",
                 JsonObject::new()
-                    .raw(
-                        "boundaries_us",
-                        format!(
-                            "[{}]",
-                            h.boundaries_us
-                                .iter()
-                                .map(u64::to_string)
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        ),
-                    )
-                    .raw(
-                        "buckets",
-                        format!(
-                            "[{}]",
-                            h.buckets
-                                .iter()
-                                .map(u64::to_string)
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        ),
-                    )
+                    .int("p50_us", h.quantile_us(0.50))
+                    .int("p95_us", h.quantile_us(0.95))
+                    .int("max_us", h.max_us)
                     .int("count", h.count)
                     .int("sum_us", h.sum_us)
-                    .int("max_us", h.max_us)
                     .build(),
             ),
-            MetricValue::Series(s) => {
-                let mut sorted = s.samples_us.clone();
-                sorted.sort_unstable();
-                base.raw(
-                    "value",
-                    JsonObject::new()
-                        .int("p50_us", crate::metrics::nearest_rank_us(&sorted, 0.50))
-                        .int("p95_us", crate::metrics::nearest_rank_us(&sorted, 0.95))
-                        .int("max_us", s.max_us)
-                        .int("count", s.seen)
-                        .build(),
-                )
-            }
         }
         .build()
     }))
@@ -221,13 +160,9 @@ mod tests {
                 "live depth",
             )
             .set(4);
-        let hist = registry.histogram("heatvit_serve_latency", &[], "latency µs", &[100, 1000]);
-        for us in [50, 150, 5000] {
+        let hist = registry.histogram("heatvit_serve_latency_us", &[], "latency µs");
+        for us in [10, 20, 30, 40, 5000] {
             hist.observe(us);
-        }
-        let series = registry.series("heatvit_serve_latency_exact", &[], "exact latency µs");
-        for us in [10, 20, 30, 40] {
-            series.record(us);
         }
         registry
             .float_counter("heatvit_serve_keep_sum", &[], "keep sum")
@@ -249,22 +184,16 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_histograms_are_cumulative_with_inf_bucket() {
-        let text = render_prometheus(&demo_snapshot());
-        assert!(text.contains("heatvit_serve_latency_bucket{le=\"100\"} 1"));
-        assert!(text.contains("heatvit_serve_latency_bucket{le=\"1000\"} 2"));
-        assert!(text.contains("heatvit_serve_latency_bucket{le=\"+Inf\"} 3"));
-        assert!(text.contains("heatvit_serve_latency_sum 5200"));
-        assert!(text.contains("heatvit_serve_latency_count 3"));
-    }
-
-    #[test]
     fn prometheus_series_render_as_summaries() {
         let text = render_prometheus(&demo_snapshot());
-        assert!(text.contains("heatvit_serve_latency_exact{quantile=\"0.5\"} 20"));
-        assert!(text.contains("heatvit_serve_latency_exact{quantile=\"0.95\"} 40"));
-        assert!(text.contains("heatvit_serve_latency_exact{quantile=\"1\"} 40"));
-        assert!(text.contains("heatvit_serve_latency_exact_count 4"));
+        assert!(text.contains("# TYPE heatvit_serve_latency_us summary"));
+        assert!(text.contains("heatvit_serve_latency_us{quantile=\"0.5\"} 30"));
+        // rank 5 → the bucket 4992..=5023, clamped to the exact max.
+        assert!(text.contains("heatvit_serve_latency_us{quantile=\"0.95\"} 5000"));
+        assert!(text.contains("heatvit_serve_latency_us{quantile=\"1\"} 5000"));
+        assert!(text.contains("heatvit_serve_latency_us_sum 5100"));
+        assert!(text.contains("heatvit_serve_latency_us_count 5"));
+        assert!(!text.contains("_bucket"));
     }
 
     #[test]
@@ -273,9 +202,10 @@ mod tests {
         assert!(json.starts_with("[\n"));
         assert!(json.contains(r#""name": "heatvit_serve_lane_served""#));
         assert!(json.contains(r#""labels": {"lane": "0"}"#));
-        assert!(json.contains(r#""type": "histogram""#));
-        assert!(json.contains(r#""boundaries_us": [100, 1000]"#));
-        assert!(json.contains(r#""p95_us": 40"#));
+        assert!(json.contains(r#""type": "summary""#));
+        assert!(json.contains(
+            r#""value": {"p50_us": 30, "p95_us": 5000, "max_us": 5000, "count": 5, "sum_us": 5100}"#
+        ));
         // Balanced brackets: every open brace closes (cheap structural check).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

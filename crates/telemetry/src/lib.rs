@@ -10,18 +10,17 @@
 //! Design rules, in priority order:
 //!
 //! 1. **Hot paths never lock.** Recording into a [`Counter`], [`Gauge`],
-//!    [`FloatCounter`], [`FloatGauge`], or [`Histogram`] is one atomic
-//!    operation through an `Arc` handle; the registry mutex is taken only
-//!    at registration and snapshot time. The two deliberate exceptions are
-//!    [`Series`] (an exact percentile reservoir) and [`SpanRecorder`] (an
-//!    ordered ring), both short push-under-mutex critical sections kept
-//!    off per-image compute paths.
+//!    [`FloatCounter`], [`FloatGauge`], or [`Histogram`] is a few atomic
+//!    operations through an `Arc` handle; the registry mutex is taken only
+//!    at registration and snapshot time. The one deliberate exception is
+//!    the [`SpanRecorder`] ring (ordered events), a short push-under-mutex
+//!    critical section kept off per-image compute paths.
 //! 2. **Snapshots are the single source of truth.** End-of-run reports
 //!    (`heatvit-serve`'s `ServeReport`) are materialized *from* a
 //!    [`Snapshot`], so live metrics and the final report can never
-//!    disagree — and a [`Series`] retains exact (deterministically
-//!    decimated) samples so snapshot percentiles are bitwise identical to
-//!    offline computation over the same observation stream.
+//!    disagree. Counts, sums and maxima are exact; [`Histogram`]
+//!    quantiles overstate the exact nearest-rank value by at most a factor
+//!    `1 + 2^-7` ([`HISTOGRAM_PRECISION_BITS`]) in fixed memory.
 //! 3. **Purely observational.** Nothing here feeds back into scheduling,
 //!    admission, or training arithmetic; instrumented code produces
 //!    bitwise-identical results with telemetry attached or not.
@@ -52,7 +51,7 @@ mod trace;
 pub use expo::{render_json, render_prometheus};
 pub use metrics::{
     nearest_rank_us, Counter, FloatCounter, FloatGauge, Gauge, Histogram, HistogramSnapshot,
-    Series, SeriesSnapshot, MAX_SERIES_SAMPLES,
+    HISTOGRAM_PRECISION_BITS,
 };
 pub use registry::{MetricSnapshot, MetricValue, Registry, Snapshot};
 pub use trace::{BatchSpan, RequestSpan, ShedSpan, SpanRecorder, TraceEvent};

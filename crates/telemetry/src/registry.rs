@@ -8,9 +8,7 @@
 //! every metric's current value in registration order, which is what the
 //! exposition formats and the snapshot-derived reports consume.
 
-use crate::metrics::{
-    Counter, FloatCounter, FloatGauge, Gauge, Histogram, HistogramSnapshot, Series, SeriesSnapshot,
-};
+use crate::metrics::{Counter, FloatCounter, FloatGauge, Gauge, Histogram, HistogramSnapshot};
 use std::sync::{Arc, Mutex};
 
 /// One registered metric's handle.
@@ -21,7 +19,6 @@ enum Handle {
     Gauge(Arc<Gauge>),
     FloatGauge(Arc<FloatGauge>),
     Histogram(Arc<Histogram>),
-    Series(Arc<Series>),
 }
 
 impl Handle {
@@ -32,7 +29,6 @@ impl Handle {
             Handle::Gauge(_) => "gauge",
             Handle::FloatGauge(_) => "float gauge",
             Handle::Histogram(_) => "histogram",
-            Handle::Series(_) => "series",
         }
     }
 }
@@ -45,8 +41,8 @@ struct Entry {
     handle: Handle,
 }
 
-/// A metric registry: the one place a subsystem's counters, gauges,
-/// histograms, and series are declared, and the source of [`Snapshot`]s.
+/// A metric registry: the one place a subsystem's counters, gauges, and
+/// histograms are declared, and the source of [`Snapshot`]s.
 ///
 /// Registration is idempotent on `(name, labels)` — registering the same
 /// metric twice returns the existing handle (and panics if the second
@@ -129,26 +125,10 @@ impl Registry {
         }
     }
 
-    /// Registers (or looks up) a [`Histogram`] over `boundaries_us`.
-    pub fn histogram(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        help: &str,
-        boundaries_us: &[u64],
-    ) -> Arc<Histogram> {
-        match self.register(name, labels, help, || {
-            Handle::Histogram(Arc::new(Histogram::new(boundaries_us)))
-        }) {
+    /// Registers (or looks up) a [`Histogram`].
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Arc<Histogram> {
+        match self.register(name, labels, help, || Handle::Histogram(Arc::default())) {
             Handle::Histogram(h) => h,
-            other => panic!("{name} already registered as a {}", other.kind()),
-        }
-    }
-
-    /// Registers (or looks up) a [`Series`].
-    pub fn series(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Arc<Series> {
-        match self.register(name, labels, help, || Handle::Series(Arc::default())) {
-            Handle::Series(s) => s,
             other => panic!("{name} already registered as a {}", other.kind()),
         }
     }
@@ -170,7 +150,6 @@ impl Registry {
                         Handle::Gauge(g) => MetricValue::Gauge(g.get()),
                         Handle::FloatGauge(g) => MetricValue::FloatGauge(g.get()),
                         Handle::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                        Handle::Series(s) => MetricValue::Series(s.snapshot()),
                     },
                 })
                 .collect(),
@@ -199,8 +178,6 @@ pub enum MetricValue {
     FloatGauge(f64),
     /// A [`Histogram`]'s buckets and summary stats.
     Histogram(HistogramSnapshot),
-    /// A [`Series`]'s retained reservoir.
-    Series(SeriesSnapshot),
 }
 
 /// One metric inside a [`Snapshot`].
@@ -281,14 +258,6 @@ impl Snapshot {
         }
     }
 
-    /// A series' reservoir, if registered.
-    pub fn series(&self, name: &str, labels: &[(&str, &str)]) -> Option<&SeriesSnapshot> {
-        match self.get(name, labels).map(|m| &m.value) {
-            Some(MetricValue::Series(s)) => Some(s),
-            _ => None,
-        }
-    }
-
     /// A histogram's snapshot, if registered.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&HistogramSnapshot> {
         match self.get(name, labels).map(|m| &m.value) {
@@ -346,20 +315,16 @@ mod tests {
         registry.float_counter("f", &[], "a float sum").add(0.25);
         registry.gauge("g", &[], "a gauge").set(9);
         registry.float_gauge("fg", &[], "a float gauge").set(1.5);
-        registry
-            .histogram("h", &[], "a histogram", &[10, 100])
-            .observe(7);
-        registry.series("s", &[], "a series").record(42);
+        registry.histogram("h", &[], "a histogram").observe(7);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("c", &[]), 3);
         assert_eq!(snap.float_counter("f", &[]), 0.25);
         assert_eq!(snap.gauge("g", &[]), 9);
         assert_eq!(snap.float_gauge("fg", &[]), 1.5);
-        assert_eq!(snap.histogram("h", &[]).unwrap().count, 1);
-        assert_eq!(snap.series("s", &[]).unwrap().samples_us, vec![42]);
+        assert_eq!(snap.histogram("h", &[]).unwrap().buckets, vec![(7, 1)]);
         // Absent metrics read as zero, not a panic.
         assert_eq!(snap.counter("missing", &[]), 0);
-        assert!(snap.series("missing", &[]).is_none());
+        assert!(snap.histogram("missing", &[]).is_none());
     }
 
     #[test]

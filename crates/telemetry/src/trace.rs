@@ -5,9 +5,9 @@
 //! event stream: one [`BatchSpan`] per flushed batch, one [`RequestSpan`]
 //! per resolved request, one [`ShedSpan`] per refused admission, in the
 //! exact order the serving side recorded them. That ordering is load-
-//! bearing: replaying the ring through a reference accumulator must
-//! reproduce the live metrics bit-for-bit (the parity suite in
-//! `heatvit-serve` does exactly that). When the ring fills, the oldest
+//! bearing: folding the ring in order must reproduce the live counts and
+//! sums bit-for-bit (the parity suite in `heatvit-serve` does exactly
+//! that). When the ring fills, the oldest
 //! events are dropped and counted — recording never blocks progress on
 //! capacity.
 
