@@ -8,6 +8,7 @@
 //! regularization factors* `δ₁, δ₂ < 1` so downstream quantization error
 //! shrinks (Section V-E).
 
+use crate::qtensor::small_int;
 use heatvit_tensor::Tensor;
 
 /// Coefficient `a` of the erf polynomial (Eq. 11).
@@ -78,17 +79,26 @@ pub const SOFTMAX_FLUSH: f32 = -87.0;
 /// `x − x_max`). Out-of-domain inputs are handled instead of producing
 /// garbage: positive inputs clamp to the domain edge `exp̃(0)`, and inputs so
 /// negative that the shift leaves the `f32` exponent range
-/// ([`EXP_SHIFT_MAX`] bits) flush to exactly `0.0` rather than sending `2^z`
-/// through `powi` overflow.
+/// ([`EXP_SHIFT_MAX`] bits) flush to exactly `0.0`.
+///
+/// The shift is a multiply by `2^−z`, built straight from its exponent bits:
+/// for `z ≤ 126` that is a normal number, so the product rounds exactly like
+/// a division by `2^z`. No opaque `powi` call and no branch is left, so the
+/// softmax row loop vectorizes; the flush is a select.
+#[inline]
 pub fn exp_shift(x_tilde: f32) -> f32 {
     let x = x_tilde.min(0.0);
     let z = (-x / std::f32::consts::LN_2).floor();
-    if z > EXP_SHIFT_MAX {
-        return 0.0;
-    }
     let p = x + z * std::f32::consts::LN_2;
-    // exp(p) >> z
-    exp_poly(p) / (2.0f32).powi(z as i32)
+    // 2^−z for 0 ≤ z ≤ 126, from its biased exponent 127 − z; the clamp
+    // keeps the bit pattern in range when the select below discards the lane.
+    let shift = f32::from_bits((small_int(127.0 - z.min(EXP_SHIFT_MAX)) as u32) << 23);
+    let y = exp_poly(p) * shift;
+    if z > EXP_SHIFT_MAX {
+        0.0
+    } else {
+        y
+    }
 }
 
 /// Approximated softmax over each row (paper Eq. 13):
@@ -113,6 +123,10 @@ pub fn softmax_approx_rows(x: &Tensor, delta2: f32) -> Tensor {
 /// form used by the quantized engine's scratch workspace (values identical
 /// to the allocating path).
 ///
+/// Each row takes three passes: a branch-free exponent pass (the flush is a
+/// select, so it vectorizes), the row sum in ascending column order, and the
+/// normalization.
+///
 /// # Panics
 ///
 /// Panics if `x` is not rank 2.
@@ -121,16 +135,12 @@ pub fn softmax_approx_rows_inplace(x: &mut Tensor, delta2: f32) {
     let cols = x.dim(1);
     for row in x.data_mut().chunks_mut(cols) {
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
         for v in row.iter_mut() {
             let shifted = *v - max;
-            *v = if shifted <= SOFTMAX_FLUSH {
-                0.0
-            } else {
-                exp_shift(shifted)
-            };
-            sum += *v;
+            let e = exp_shift(shifted);
+            *v = if shifted <= SOFTMAX_FLUSH { 0.0 } else { e };
         }
+        let sum = row.iter().fold(0.0f32, |s, &v| s + v);
         for v in row.iter_mut() {
             *v = delta2 * *v / sum;
         }
@@ -220,6 +230,93 @@ mod tests {
             // Relative-ish bound: the poly error is scaled down by the shift.
             assert!(err < 0.02 * exact.max(1e-3), "x={x}: {approx} vs {exact}");
             x += 0.173;
+        }
+    }
+
+    /// The shift kernel as first written: `exp_poly(p) / 2^z` through
+    /// `powi`, kept as the reference the bit-built shift must reproduce.
+    fn exp_shift_powi_reference(x_tilde: f32) -> f32 {
+        let x = x_tilde.min(0.0);
+        let z = (-x / std::f32::consts::LN_2).floor();
+        if z > EXP_SHIFT_MAX {
+            return 0.0;
+        }
+        let p = x + z * std::f32::consts::LN_2;
+        exp_poly(p) / (2.0f32).powi(z as i32)
+    }
+
+    #[test]
+    fn exp_shift_is_bitwise_equal_to_the_powi_formula() {
+        let check = |x: f32| {
+            let (got, want) = (exp_shift(x), exp_shift_powi_reference(x));
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "x={x:e}: {got:e} vs {want:e}"
+            );
+        };
+        // A dense bit-pattern grid over [−130, −0]: every 509th f32, so all
+        // exponents and a spread of mantissas, subnormal shifts included.
+        let (lo, hi) = ((-0.0f32).to_bits(), (-130.0f32).to_bits());
+        for bits in (lo..=hi).step_by(509) {
+            check(f32::from_bits(bits));
+        }
+        check(-130.0);
+        // Around the z = 125/126/127 boundaries, where the shift leaves the
+        // normal range and the flush takes over.
+        for z in [125.0f32, 126.0, 127.0] {
+            let edge = (-z * std::f32::consts::LN_2).to_bits();
+            for bits in edge - 8..=edge + 8 {
+                check(f32::from_bits(bits));
+            }
+        }
+        for x in [-0.0f32, 0.0, f32::MIN, f32::NEG_INFINITY, f32::NAN] {
+            check(x);
+        }
+        for x in [
+            f32::MIN_POSITIVE,
+            1e-6,
+            0.5,
+            3.0,
+            1e4,
+            f32::MAX,
+            f32::INFINITY,
+        ] {
+            check(x);
+        }
+    }
+
+    #[test]
+    fn softmax_matches_the_powi_formula_row_by_row() {
+        // The vectorizable three-pass row loop against the original fused
+        // loop over the reference kernel, on rows that mix ordinary scores,
+        // flushed entries and masked columns.
+        let row = [0.4f32, -3.0, -86.9, -87.0, -87.1, 2.5, -1e4, 1.0, -40.0];
+        let x = Tensor::from_vec(
+            row.iter().chain(row.iter().rev()).copied().collect(),
+            &[2, 9],
+        );
+        for delta2 in [1.0f32, 0.5] {
+            let got = softmax_approx_rows(&x, delta2);
+            for r in 0..2 {
+                let src = x.row(r);
+                let max = src.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let mut e = Vec::new();
+                let mut sum = 0.0f32;
+                for &v in src {
+                    let shifted = v - max;
+                    let y = if shifted <= SOFTMAX_FLUSH {
+                        0.0
+                    } else {
+                        exp_shift_powi_reference(shifted)
+                    };
+                    sum += y;
+                    e.push(y);
+                }
+                for (c, &y) in e.iter().enumerate() {
+                    assert_eq!(got.at(&[r, c]).to_bits(), (delta2 * y / sum).to_bits());
+                }
+            }
         }
     }
 

@@ -46,7 +46,7 @@ mod scratch;
 
 pub use qgemm::{
     qmatmul, qmatmul_into, qmatmul_transb, qmatmul_transb_into, qmatmul_transb_with, qmatmul_with,
-    qpack_b, qpack_b_t, qpacked_len, QLinear, QMR, QNR,
+    QLinear,
 };
 pub use qtensor::{fake_quantize, QTensor, QuantParams};
 pub use qvit::{packed_macs, QuantInference, QuantPruneStage, QuantizedViT, DSP_PACKING_FACTOR};

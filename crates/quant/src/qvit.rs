@@ -118,6 +118,15 @@ impl ModelCalib {
     }
 }
 
+/// `acc += rhs` elementwise, as `acc[i] + rhs[i]` — the operand order of
+/// `Tensor::add`, so the sum is bitwise the allocating one.
+fn add_assign(acc: &mut Tensor, rhs: &Tensor) {
+    assert_eq!(acc.dims(), rhs.dims(), "residual shapes must agree");
+    for (a, &r) in acc.data_mut().iter_mut().zip(rhs.data()) {
+        *a += r;
+    }
+}
+
 /// Static activation scales for the per-head attention operands, recorded
 /// over the full `[N, D]` projection tensors during calibration.
 #[derive(Debug, Clone, Copy)]
@@ -161,9 +170,11 @@ impl QuantizedBlock {
         }
     }
 
-    /// One block forward on the integer pipeline. Leaves the block's mean
-    /// class-token attention (per patch token, averaged over heads) in
-    /// `scratch.cls_attn` for the adaptive pruning stages.
+    /// One block forward on the integer pipeline. Leaves the block output in
+    /// `scratch.ffn_out` and the block's mean class-token attention (per
+    /// patch token, averaged over heads) in `scratch.cls_attn` for the
+    /// adaptive pruning stages. Both residual sums are added in place, so a
+    /// warm scratch makes the block allocation-free.
     fn infer_with(
         &self,
         x: &Tensor,
@@ -171,7 +182,7 @@ impl QuantizedBlock {
         delta2: f32,
         scratch: &mut QuantScratch,
         mut calib: Option<&mut BlockCalib>,
-    ) -> Tensor {
+    ) {
         let n = x.dim(0);
         let dim = self.num_heads * self.head_dim;
         // With calibrated activation scales (and no observer attached) the
@@ -290,23 +301,22 @@ impl QuantizedBlock {
             &mut scratch.pack,
             &mut scratch.attn_out,
         );
-        let x1 = scratch.attn_out.add(x);
+        add_assign(&mut scratch.attn_out, x);
+        let x1 = &scratch.attn_out;
         // Same fusion for the pre-FFN norm feeding fc1.
         let fc1_static = (calib.is_none())
             .then(|| self.fc1.activation_params())
             .flatten();
         if let Some(params) = fc1_static {
-            let fill = scratch
-                .qa
-                .start_fill(&[n, self.fc1.weight().dim(0)], params);
+            let fill = scratch.qa.start_fill(&[n, self.fc1.in_features()], params);
             self.ln2
-                .infer_tiles(&x1, 8, &mut scratch.ln_tile, |_r0, _nr, t| {
+                .infer_tiles(x1, 8, &mut scratch.ln_tile, |_r0, _nr, t| {
                     fill.extend(t.iter().map(|&v| params.quantize(v)));
                 });
             self.fc1
                 .infer_quantized_into(&scratch.qa, &mut scratch.pack, &mut scratch.ffn_hidden);
         } else {
-            self.ln2.infer_into(&x1, &mut scratch.normed);
+            self.ln2.infer_into(x1, &mut scratch.normed);
             if let Some(c) = calib.as_deref_mut() {
                 c.fc1_in.observe(&scratch.normed);
             }
@@ -327,7 +337,7 @@ impl QuantizedBlock {
             &mut scratch.pack,
             &mut scratch.ffn_out,
         );
-        scratch.ffn_out.add(&x1)
+        add_assign(&mut scratch.ffn_out, x1);
     }
 
     fn apply_calibration(&mut self, c: &BlockCalib) {
@@ -662,7 +672,8 @@ impl QuantizedViT {
             }
             tokens_per_block.push(tokens.dim(0));
             let block_calib = calib.as_deref_mut().map(|m| &mut m.blocks[bi]);
-            tokens = block.infer_with(&tokens, self.delta1, self.delta2, scratch, block_calib);
+            block.infer_with(&tokens, self.delta1, self.delta2, scratch, block_calib);
+            std::mem::swap(&mut tokens, &mut scratch.ffn_out);
         }
         tokens.slice_rows_into(0, 1, &mut scratch.cls);
         self.norm.infer_into(&scratch.cls, &mut scratch.normed);
